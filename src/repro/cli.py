@@ -548,9 +548,12 @@ def cmd_trace_summarize(args) -> int:
             convergence_rows(summary.solves),
         ))
     for run in summary.alg1_runs:
+        verdicts = run.get("verdicts", [])
         trajectory = " -> ".join(
-            f"{st:.3f}[{verdict}]" for st, verdict in zip(
-                run.get("st_trajectory", []), run.get("verdicts", [])
+            f"{st:.3f}[{verdict}{f' +{rows} rows' if rows else ''}]"
+            for st, verdict, rows in zip(
+                run.get("st_trajectory", []), verdicts,
+                run.get("rows_added") or [0] * len(verdicts),
             )
         )
         print()
@@ -566,6 +569,7 @@ def cmd_trace_summarize(args) -> int:
                 "delta (ns)": run.get("delta_ns"),
                 "iterations": run.get("iterations"),
                 "relaxations": run.get("relaxations"),
+                "lazy path rows": run.get("lazy_path_rows", 0),
                 "ST trajectory": trajectory or "-",
                 "final ST_target (ns)": run.get("final_st_target_ns"),
                 "solves": run.get("solves"),

@@ -40,7 +40,6 @@ from repro.core.remap import (
     frozen_stress_by_pe,
     restamp_remap_model,
     solve_remap,
-    solve_remap_sequential,
 )
 from repro.core.rotation import (
     NUM_ORIENTATIONS,
@@ -91,6 +90,5 @@ __all__ = [
     "run_algorithm1",
     "run_flow",
     "solve_remap",
-    "solve_remap_sequential",
     "stress_target_lower_bound",
 ]

@@ -9,10 +9,12 @@ The outer loop of the paper:
    symmetries to minimise overlap (:mod:`repro.core.rotation`);
 3. **Step 2.2** — path-delay constraint generation: the within-20%-of-CPD
    filter (:mod:`repro.timing.kpaths`);
-4. **Step 2.3** — repeat: solve Eq. (3) (two-step LP->ILP); on
-   infeasibility, or when the re-mapped floorplan's *measured* CPD exceeds
-   the original (an unmonitored path grew), relax ``ST_target`` by
-   ``Delta`` and retry.
+4. **Step 2.3** — repeat: solve Eq. (3), the paper's feasibility model,
+   two-step LP->ILP; on infeasibility relax ``ST_target`` by ``Delta``.
+   When the floorplan's *measured* CPD exceeds the original (an
+   unmonitored path grew), add every path over the original CPD to the
+   live model as an Eq. (5) row and re-solve at the same ``ST_target``:
+   the path filter made lazy.  Such a row never cuts off a valid answer.
 
 If no valid floorplan is found within the iteration budget the flow falls
 back to the original floorplan (MTTF increase 1.0x) and reports it — the
@@ -32,17 +34,18 @@ from repro.core.remap import (
     GreedyContext,
     RemapConfig,
     WarmStart,
+    add_lazy_path_rows,
     build_remap_model,
     default_candidates,
     frozen_stress_by_pe,
     restamp_remap_model,
     solve_remap,
-    solve_remap_sequential,
 )
 from repro.core.rotation import FrozenPlan, freeze_plan, rotate_plan
 from repro.core.targets import (
     StressTargetResult,
     default_delta_ns,
+    relaxed_target,
     stress_target_lower_bound,
 )
 from repro.errors import (
@@ -64,8 +67,9 @@ from repro.timing.graph import build_timing_graphs
 from repro.timing.kpaths import (
     DEFAULT_MAX_PATHS,
     DEFAULT_RETENTION,
+    MonitoredPath,
+    enumerate_context_paths,
     filter_paths,
-    worst_path,
 )
 from repro.timing.sta import all_critical_paths, analyze
 
@@ -83,10 +87,13 @@ class Algorithm1Config:
     mode: str = "rotate"
     #: Path filter: retain paths within this fraction of the CPD.
     retention: float = DEFAULT_RETENTION
+    #: Cap on the filter's monitored paths, and on the violated paths one
+    #: CPD-violation round adds as lazy rows.
     max_paths: int = DEFAULT_MAX_PATHS
     #: ST_target relaxation stepsize; None derives the default from the
     #: original stress map (span / 20).
     delta_ns: float | None = None
+    #: Relax-loop iterations, row-generation rounds included.
     max_iterations: int = 25
     #: Random draws of the rotation rule evaluated for minimum overlap
     #: (1 = the paper's single constrained-random draw).
@@ -278,11 +285,15 @@ def _run_algorithm1(
         candidates = default_candidates(
             design, original, frozen, fabric, config.remap.resolved_window(fabric)
         )
-        st_target = step1.st_target_ns
+        st_base = st_target = step1.st_target_ns
+        relaxed = 0  # Delta-relaxations; a row round re-solves at the same count
         # The Eq. (3) model is assembled once and re-stamped with each
         # relaxed ST_target; warm hints (previous pre-mapping/solution)
         # ride along between iterations of the same model.
         warm: WarmStart | None = None
+        # Violated paths added as lazy rows, per adding iteration: a cold
+        # rebuild of the model re-adds them.
+        lazy_rows: list[tuple[int, list[MonitoredPath]]] = []
         while iterations < config.max_iterations and st_target <= st_ceiling:
             deadline.check("algorithm1:iteration")
             iterations += 1
@@ -293,13 +304,15 @@ def _run_algorithm1(
                 entry, model, variables, warm = _run_iteration(
                     design, fabric, original, config, backend, frozen,
                     candidates, monitored, cpd_orig, st_target, iterations, graphs,
-                    model=model, variables=variables, warm=warm,
+                    lazy_rows, model=model, variables=variables, warm=warm,
                 )
                 iteration_log.append(entry)
                 iter_span.set(result=entry["result"])
             if warm is not None:
                 warm.reason = entry["result"]
-            alg1.record_iteration(st_target, entry["result"])
+            alg1.record_iteration(
+                st_target, entry["result"], entry.get("rows_added", 0)
+            )
             alg1.certifications += entry.get("certifications", 0)
             alg1.cert_failures += entry.get("cert_failures", 0)
             alg1.cert_cold_rebuilds += int(entry.get("cert_cold_rebuild", False))
@@ -322,8 +335,12 @@ def _run_algorithm1(
                     # proven/gap-certified solve.
                     degradation = "incumbent"
                 break
+            if _resolve_at_same_target(entry):
+                alg1.row_rounds += 1
+                continue
             relaxations.inc()
-            st_target += delta
+            relaxed += 1
+            st_target = relaxed_target(st_base, delta, relaxed)
     except (SolverError, DeadlineExceededError, CertificationError) as exc:
         failure = exc
         if isinstance(exc, CertificationError):
@@ -436,17 +453,15 @@ def _run_algorithm1(
     )
 
 
+#: Per-solve :class:`SolveStats` keys of an iteration (or Step-1) entry.
+_SOLVE_KEYS = ("lp_stats", "ilp_stats", "retry_stats", "solve_stats")
+
+
 def _absorb_solve_stats(alg1: Algorithm1Stats, entry: dict) -> None:
     """Fold every per-solve :class:`SolveStats` dict found in an iteration
-    (or Step-1) stats entry into the outer-loop aggregates.
-
-    Handles all three strategies: two-step (``lp_stats``/``ilp_stats``),
-    monolithic (``solve_stats``) and sequential (per-context sub-entries).
-    """
-    for key in ("lp_stats", "ilp_stats", "solve_stats"):
+    (or Step-1) stats entry into the outer-loop aggregates."""
+    for key in _SOLVE_KEYS:
         alg1.absorb_solve(entry.get(key))
-    for ctx in entry.get("contexts", ()):
-        _absorb_solve_stats(alg1, ctx)
 
 
 def _used_incumbent(entry: dict) -> bool:
@@ -457,26 +472,50 @@ def _used_incumbent(entry: dict) -> bool:
     one is sound (the STA gate passed) but flagged as degradation level
     ``incumbent`` so sweeps show *why* a result may be weaker.
     """
-    feasible = SolveStatus.FEASIBLE.value
-    if entry.get("status") == feasible or entry.get("ilp_status") == feasible:
-        return True
-    return any(
-        ctx.get("status") == feasible or ctx.get("ilp_status") == feasible
-        for ctx in entry.get("contexts", ())
+    return SolveStatus.FEASIBLE.value in (
+        entry.get("status"), entry.get("ilp_status"), entry.get("retry_status")
     )
 
 
 def _solve_limit_reasons(entry) -> dict[str, str]:
     """Every non-empty ``limit_reason`` across an iteration's solve stats."""
     reasons: dict[str, str] = {}
-    for key in ("lp_stats", "ilp_stats", "solve_stats"):
+    for key in _SOLVE_KEYS:
         stats = entry.get(key)
         if stats and stats.get("limit_reason"):
             reasons[key] = stats["limit_reason"]
-    for index, ctx in enumerate(entry.get("contexts", ())):
-        for key, value in _solve_limit_reasons(ctx).items():
-            reasons[f"context{index}.{key}"] = value
     return reasons
+
+
+def _resolve_at_same_target(entry: dict) -> bool:
+    """Whether the relax loop re-solves at the same ``ST_target``: after
+    a CPD violation that added lazy path rows, unless the greedy
+    completion (which does not read path rows) made the floorplan."""
+    greedy = entry.get("completion") == "greedy" and not entry.get(
+        "greedy_failed"
+    )
+    return (
+        entry["result"] == "cpd_violation"
+        and entry.get("rows_added", 0) > 0
+        and not greedy
+    )
+
+
+def _violated_paths(
+    floorplan: Floorplan, graphs, report, cpd_orig: float, max_paths: int
+) -> list[MonitoredPath]:
+    """Every path of ``floorplan`` whose delay exceeds the original CPD."""
+    threshold = cpd_orig + CPD_EPS
+    paths: list[MonitoredPath] = []
+    for graph, timing in zip(graphs, report.per_context):
+        if timing.cpd_ns < threshold:
+            continue
+        found, _truncated = enumerate_context_paths(
+            graph, floorplan, threshold_ns=threshold,
+            context_cpd_ns=timing.cpd_ns, max_paths=max_paths,
+        )
+        paths.extend(found)
+    return paths
 
 
 def _explain_iteration(benchmark: str, entry: dict, cpd_orig: float) -> dict:
@@ -496,6 +535,7 @@ def _explain_iteration(benchmark: str, entry: dict, cpd_orig: float) -> dict:
     elif entry["result"] == "cpd_violation":
         cause["new_cpd_ns"] = entry.get("new_cpd_ns")
         cause["cpd_orig_ns"] = cpd_orig
+        cause["rows_added"] = entry.get("rows_added", 0)
         if entry.get("culprit"):
             cause["culprit"] = entry["culprit"]
     elif entry["result"] == "frozen_budget_infeasible":
@@ -579,6 +619,7 @@ def _run_iteration(
     st_target: float,
     iteration: int,
     graphs,
+    lazy_rows: list,
     model=None,
     variables=None,
     warm: WarmStart | None = None,
@@ -592,57 +633,51 @@ def _run_iteration(
     :class:`~repro.core.remap.WarmStart`); the caller stamps its ``reason``
     with the iteration verdict before passing it back.
 
+    On a CPD violation every path over the original CPD becomes an Eq. (5)
+    row of the live model; the paths are appended to ``lazy_rows`` as
+    ``(iteration, paths)`` so a cold rebuild can re-add them.
+
     Returns ``(entry, model, variables, warm_out)``; ``entry["result"]``
     is one of ``accepted``, ``infeasible``, ``cpd_violation`` or
-    ``frozen_budget_infeasible``, and an accepted entry additionally
-    carries the candidate ``floorplan``.
+    ``frozen_budget_infeasible``, ``entry["rows_added"]`` counts the lazy
+    rows it added, and an accepted entry additionally carries the
+    candidate ``floorplan``.
     """
-    if config.remap.strategy == "sequential":
-        outcome = solve_remap_sequential(
-            design, fabric, frozen, candidates, monitored,
-            cpd_orig, st_target, config.remap, backend,
-        )
-        build_stats: dict = {}
+    if model is None:
+        # Built lazily (and re-tried each iteration while the frozen
+        # stress alone busts the budget: a relaxed target can admit a
+        # model that a tighter one could not).
+        try:
+            model, variables, build_stats = build_remap_model(
+                design, fabric, frozen, candidates, monitored,
+                cpd_orig, st_target, name="remap",
+            )
+        except BudgetInfeasibleError as exc:
+            entry = {
+                "iteration": iteration,
+                "st_target_ns": st_target,
+                "result": "frozen_budget_infeasible",
+                "rows_added": 0,
+                "pe": getattr(exc, "pe_index", None),
+                "frozen_ns": getattr(exc, "frozen_ns", None),
+            }
+            return entry, None, None, None
     else:
-        if model is None:
-            # Built lazily (and re-tried each iteration while the frozen
-            # stress alone busts the budget: a relaxed target can admit a
-            # model that a tighter one could not).
-            try:
-                model, variables, build_stats = build_remap_model(
-                    design, fabric, frozen, candidates, monitored,
-                    cpd_orig, st_target, name="remap",
-                    objective=config.remap.objective,
-                )
-            except BudgetInfeasibleError as exc:
-                entry = {
-                    "iteration": iteration,
-                    "st_target_ns": st_target,
-                    "result": "frozen_budget_infeasible",
-                    "pe": getattr(exc, "pe_index", None),
-                    "frozen_ns": getattr(exc, "frozen_ns", None),
-                }
-                return entry, None, None, None
-        else:
-            restamp_remap_model(model, st_target)
-            build_stats = {"restamped": True}
-        greedy_ctx = GreedyContext(
-            design=design,
-            fabric=fabric,
-            frozen_positions=frozen.positions,
-            st_target_ns=st_target,
-            frozen_stress_ns=frozen_stress_by_pe(design, frozen),
-        )
-        outcome = solve_remap(
-            model, variables, config.remap, backend, greedy_ctx, warm
-        )
+        restamp_remap_model(model, st_target)
+        build_stats = {"restamped": True}
+    outcome = solve_remap(
+        model, variables, config.remap, backend,
+        _greedy_context(design, fabric, frozen, st_target), warm,
+        retry_unfixed=True,
+    )
     entry = {
         "iteration": iteration,
         "st_target_ns": st_target,
+        "rows_added": 0,
         **build_stats,
         **outcome.stats,
     }
-    warm_out = outcome.warm if config.remap.strategy != "sequential" else None
+    warm_out = outcome.warm
     if not outcome.feasible:
         entry["result"] = "infeasible"
         return entry, model, variables, warm_out
@@ -656,22 +691,43 @@ def _run_iteration(
             return _certify_accepted(
                 design, fabric, original, config, backend, frozen,
                 candidates, monitored, cpd_orig, st_target, iteration,
-                graphs, entry, candidate_fp, outcome, model, variables,
-                warm_out,
+                graphs, lazy_rows, entry, candidate_fp, outcome, model,
+                variables, warm_out,
             )
         entry["result"] = "accepted"
         entry["floorplan"] = candidate_fp
         return entry, model, variables, warm_out
     entry["result"] = "cpd_violation"
-    if explain_enabled():
-        culprit = worst_path(design, candidate_fp, graphs, new_report)
-        if culprit is not None:
+    paths = _violated_paths(
+        candidate_fp, graphs, new_report, cpd_orig, config.max_paths
+    )
+    if paths:
+        # A path between fixed endpoints only yields no row (the loop then
+        # relaxes by Delta, which cannot repair it either).
+        added, _frozen = add_lazy_path_rows(
+            variables, design, fabric, frozen, paths, cpd_orig, iteration
+        )
+        lazy_rows.append((iteration, paths))
+        counter("algorithm1.lazy_path_rows").inc(added)
+        entry["rows_added"] = added
+        if explain_enabled():
+            culprit = max(paths, key=lambda monitored: monitored.delay_ns)
             entry["culprit"] = {
                 "context": culprit.path.context,
                 "ops": list(culprit.path.chain),
                 "delay_ns": culprit.delay_ns,
             }
     return entry, model, variables, warm_out
+
+
+def _greedy_context(design, fabric, frozen: FrozenPlan, st_target: float):
+    return GreedyContext(
+        design=design,
+        fabric=fabric,
+        frozen_positions=frozen.positions,
+        st_target_ns=st_target,
+        frozen_stress_ns=frozen_stress_by_pe(design, frozen),
+    )
 
 
 def _certify_accepted(
@@ -687,6 +743,7 @@ def _certify_accepted(
     st_target: float,
     iteration: int,
     graphs,
+    lazy_rows: list,
     entry: dict,
     candidate_fp: Floorplan,
     outcome,
@@ -700,19 +757,18 @@ def _certify_accepted(
     itself) is re-checked by :mod:`repro.verify` — an independent code
     path sharing nothing with the incremental compile/restamp/warm-start
     machinery.  On failure, the Eq. (3) model is rebuilt **cold** (fresh
-    lowering, no warm start) and re-solved once: if the cold result
-    certifies, the stale model state was corrupt and the cold model
-    replaces it for the remaining iterations.  If even the cold path
-    fails, a :class:`CertificationError` propagates to the degradation
-    ladder.
+    lowering, no warm start, the lazy path rows re-added) and re-solved
+    once: if the cold result certifies, the stale model state was corrupt
+    and the cold model replaces it for the remaining iterations.  If even
+    the cold path fails, a :class:`CertificationError` propagates to the
+    degradation ladder.
     """
     from repro.verify.certifier import certify_remap
 
-    is_cached = config.remap.strategy != "sequential"
     with span("certify", iteration=iteration):
         cert = certify_remap(
             design, candidate_fp, frozen.positions, st_target, cpd_orig,
-            model=model if is_cached else None,
+            model=model,
             solution=outcome.solution,
             graphs=graphs,
         )
@@ -723,10 +779,6 @@ def _certify_accepted(
         entry["floorplan"] = candidate_fp
         return entry, model, variables, warm_out
     entry["cert_failures"] = 1
-    if not is_cached:
-        # The sequential strategy builds fresh models every call — there
-        # is no cached state a cold rebuild could flush.
-        cert.raise_if_failed(f"{design.name} iteration {iteration}")
     _log.warning(
         "%s: iteration %d failed certification; cold-rebuilding the model",
         design.name, iteration,
@@ -743,19 +795,17 @@ def _certify_accepted(
         cold_model, cold_vars, _cold_stats = build_remap_model(
             design, fabric, frozen, candidates, monitored,
             cpd_orig, st_target, name="remap_cold",
-            objective=config.remap.objective,
         )
     except BudgetInfeasibleError:
         cert.raise_if_failed(f"{design.name} iteration {iteration}")
-    greedy_ctx = GreedyContext(
-        design=design,
-        fabric=fabric,
-        frozen_positions=frozen.positions,
-        st_target_ns=st_target,
-        frozen_stress_ns=frozen_stress_by_pe(design, frozen),
-    )
+    for lazy_iteration, paths in lazy_rows:
+        add_lazy_path_rows(
+            cold_vars, design, fabric, frozen, paths, cpd_orig, lazy_iteration
+        )
     cold_outcome = solve_remap(
-        cold_model, cold_vars, config.remap, backend, greedy_ctx, None
+        cold_model, cold_vars, config.remap, backend,
+        _greedy_context(design, fabric, frozen, st_target), None,
+        retry_unfixed=True,
     )
     if cold_outcome.feasible:
         cold_fp = cold_outcome.floorplan(original, frozen)

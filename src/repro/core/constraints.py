@@ -267,6 +267,7 @@ def add_path_constraints(
     fabric: Fabric,
     paths: Sequence[MonitoredPath],
     cpd_ns: float,
+    lazy_iteration: int | None = None,
 ) -> tuple[int, int]:
     """Eq. (5) wire-length slack constraints for the monitored paths.
 
@@ -277,6 +278,10 @@ def add_path_constraints(
     intra-context distances), no ST_target value can repair it — it is
     skipped here and left to Algorithm 1's CPD re-check, which will reject
     the floorplan and relax or fall back.
+
+    ``lazy_iteration`` marks rows Algorithm 1 adds after a CPD violation
+    (the path filter made lazy): they are named ``lazy_path[it.i]`` and
+    tagged ``lazy: True`` plus the relax-loop iteration that added them.
     """
     added = 0
     frozen_violations = 0
@@ -298,17 +303,18 @@ def add_path_constraints(
             if total.constant > max_length + 1e-9:
                 frozen_violations += 1
             continue
-        variables.model.add_constraint(
-            total <= max_length,
-            name=f"path[{index}]",
-            tags={
-                "family": "path",
-                "path": index,
-                "context": path.context,
-                "ops": list(path.chain),
-                "delay_ns": round(monitored.delay_ns, 9),
-            },
-        )
+        tags = {
+            "family": "path",
+            "path": index,
+            "context": path.context,
+            "ops": list(path.chain),
+            "delay_ns": round(monitored.delay_ns, 9),
+        }
+        name = f"path[{index}]"
+        if lazy_iteration is not None:
+            tags.update(lazy=True, iteration=lazy_iteration)
+            name = f"lazy_path[{lazy_iteration}.{index}]"
+        variables.model.add_constraint(total <= max_length, name=name, tags=tags)
         added += 1
     return added, frozen_violations
 
@@ -335,32 +341,15 @@ def add_wirelength_objective(
     design: MappedDesign,
     fabric: Fabric,
     frozen_positions: Mapping[int, int],
-    known_only: bool = False,
 ) -> None:
-    """Minimise the design's total wire length (robustness objective).
+    """Minimise the design's total wire length.
 
-    The paper's Eq. (3) is a pure feasibility model (ObjFunc: Null); with a
-    modern solver any feasible point is returned, and the slack on
-    *unmonitored* paths lets their wires balloon past the CPD, forcing many
-    Algorithm-1 relaxation iterations.  Minimising total wirelength among
-    the feasible (stress-levelled, delay-constrained) floorplans removes
-    that failure mode without touching any constraint the paper specifies;
-    ``RemapConfig.objective = "null"`` restores the paper-pure behaviour
-    for the ablation benchmark.
+    The flow solves the paper's Eq. (3) as a pure feasibility model
+    (ObjFunc: Null).  This objective exists for the ``repro verify
+    --certify-backend`` oracle: its restricted per-context models need an
+    optimum on which HiGHS and branch-and-bound can be compared.
     """
     wires = design_wire_endpoints(design)
-    if known_only:
-        # Sequential decomposition: ops of not-yet-solved contexts have no
-        # position; only score wires whose endpoints are all resolvable.
-        def known(endpoint: Endpoint) -> bool:
-            if endpoint.kind is not EndpointKind.OP:
-                return True
-            return (
-                endpoint.ident in variables.assign
-                or endpoint.ident in frozen_positions
-            )
-
-        wires = [(a, b) for a, b in wires if known(a) and known(b)]
     endpoints: set[Endpoint] = set()
     for a, b in wires:
         endpoints.add(a)

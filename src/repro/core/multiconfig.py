@@ -39,7 +39,11 @@ from repro.core.remap import (
     solve_remap,
 )
 from repro.core.rotation import freeze_plan, rotate_plan
-from repro.core.targets import default_delta_ns, stress_target_lower_bound
+from repro.core.targets import (
+    default_delta_ns,
+    relaxed_target,
+    stress_target_lower_bound,
+)
 from repro.errors import BudgetInfeasibleError, FlowError
 from repro.hls.allocate import MappedDesign
 from repro.thermal.hotspot import ThermalSimulator
@@ -147,10 +151,10 @@ def build_rotation_set(
     stats: dict = {"configs": [], "st_single_ns": st_single}
 
     for index in range(k):
-        target = st_single * (index + 1)
         accepted: Floorplan | None = None
         attempts = 0
         while accepted is None and attempts < config.max_iterations:
+            target = relaxed_target(st_single * (index + 1), delta, attempts)
             attempts += 1
             # The budget baseline of configuration `index` is the stress
             # committed by configurations 0..index-1 (carryover) plus this
@@ -161,7 +165,6 @@ def build_rotation_set(
                     target, carryover, config,
                 )
             except BudgetInfeasibleError:
-                target += delta
                 continue
             baseline = frozen_stress_by_pe(design, frozen)
             for pe in range(fabric.num_pes):
@@ -177,13 +180,10 @@ def build_rotation_set(
                 model, variables, config.remap, backend, greedy_ctx
             )
             if not outcome.feasible:
-                target += delta
                 continue
             candidate = outcome.floorplan(original, frozen)
             if analyze(design, candidate, graphs).cpd_ns <= cpd + CPD_EPS:
                 accepted = candidate
-            else:
-                target += delta
         if accepted is None:
             # Could not extend the set; fall back to repeating the last
             # configuration (or the original when none exists yet).
@@ -224,7 +224,6 @@ def _build_with_baseline(
         add_exclusivity_constraints,
         add_path_constraints,
         add_stress_constraints,
-        add_wirelength_objective,
         build_coordinates,
         collect_endpoints,
     )
@@ -242,6 +241,4 @@ def _build_with_baseline(
     endpoints = collect_endpoints(monitored)
     build_coordinates(variables, design, fabric, frozen.positions, endpoints)
     add_path_constraints(variables, design, fabric, monitored, cpd)
-    if config.remap.objective == "wirelength":
-        add_wirelength_objective(variables, design, fabric, frozen.positions)
     return model, variables, {}

@@ -1,17 +1,15 @@
 """Assembly and solution of the re-mapping MILP (paper Eq. 3).
 
-``build_remap_model`` assembles the formulation for a given ``ST_target``;
-``solve_remap`` runs one of three strategies:
+``build_remap_model`` assembles the formulation for a given ``ST_target``
+as the paper states it: a feasibility model (``ObjFunc: Null``).
+``solve_remap`` runs one of two strategies:
 
 * ``"two-step"`` (the paper's method, default): solve the LP relaxation,
   pre-map every assignment whose LP value exceeds 0.95 (or randomized
   rounding, for the ablation), then solve the residual ILP;
 * ``"monolithic"``: hand the full binary model to the solver directly —
   the primary formulation of Section V-A that the paper found intractable
-  at scale (kept for the ablation benchmark);
-* ``"sequential"``: contexts solved one at a time against a running stress
-  budget — a decomposition ablation that is faster but cannot coordinate
-  across contexts.
+  at scale (kept for the ablation benchmark).
 
 Candidate windowing
 -------------------
@@ -42,7 +40,7 @@ from repro.core.constraints import (
     collect_endpoints,
 )
 from repro.core.rotation import FrozenPlan
-from repro.errors import BudgetInfeasibleError, ModelError
+from repro.errors import ModelError
 from repro.hls.allocate import MappedDesign
 from repro.milp.model import Model
 from repro.milp.rounding import (
@@ -52,31 +50,22 @@ from repro.milp.rounding import (
 )
 from repro.milp.scipy_backend import ScipyBackend
 from repro.milp.status import SolveStatus
-from repro.obs import counter, gauge, get_logger, span
+from repro.obs import counter, gauge, span
 from repro.timing.kpaths import MonitoredPath
 
 #: Fabric size (PEs) up to which every op gets every PE as a candidate.
 FULL_CANDIDATE_LIMIT = 64
-
-_log = get_logger("core.remap")
 
 
 @dataclass
 class RemapConfig:
     """Solution-strategy knobs for one re-mapping solve."""
 
-    strategy: str = "two-step"  # "two-step" | "monolithic" | "sequential"
+    strategy: str = "two-step"  # "two-step" | "monolithic"
     rounding: str = "threshold"  # "threshold" | "randomized"
-    #: "wirelength" minimises total wire length among feasible floorplans
-    #: (robust default); "null" is the paper-pure feasibility objective.
-    objective: str = "wirelength"
     fix_threshold: float = 0.95
     candidate_window: int | None = None  # None = auto by fabric size
     time_limit_s: float | None = 60.0
-    #: Relative MIP gap at which the solver may stop.  The re-mapping model
-    #: needs a *good feasible* floorplan, not a proven-optimal one; a
-    #: generous gap cuts branch-and-bound time by an order of magnitude.
-    mip_rel_gap: float | None = 0.30
     #: How to turn the (fractional) LP solution into the final binding:
     #: "ilp"    — the paper's residual ILP, always;
     #: "greedy" — LP-guided greedy completion (stress/slot feasible by
@@ -85,7 +74,8 @@ class RemapConfig:
     #:            MIP solver cannot find an incumbent within the time
     #:            limit, unlike the paper's CPLEX), ILP fallback/default.
     completion: str = "auto"
-    #: Binary-variable count above which "auto" prefers the greedy pass.
+    #: Binary-variable count above which "auto" prefers the greedy pass;
+    #: at or below it, the unfixed residual-ILP retry may run.
     greedy_threshold: int = 6000
     seed: int = 2020
     #: Race solver lanes per solve instead of betting on one backend
@@ -112,13 +102,10 @@ class RemapConfig:
             return PortfolioBackend(
                 lanes=tuple(self.lanes),
                 time_limit=self.time_limit_s,
-                mip_rel_gap=self.mip_rel_gap,
                 hedge_delay_s=self.hedge_delay_s,
                 lane_timeout_s=self.lane_timeout_s,
             )
-        return ScipyBackend(
-            time_limit=self.time_limit_s, mip_rel_gap=self.mip_rel_gap
-        )
+        return ScipyBackend(time_limit=self.time_limit_s)
 
     def resolved_window(self, fabric: Fabric) -> int | None:
         if self.candidate_window is not None:
@@ -155,9 +142,8 @@ class RemapOutcome:
     #: strategy produced one (two-step ILP paths only).
     warm: "WarmStart | None" = None
     #: The backend :class:`~repro.milp.status.Solution` behind
-    #: ``assignment``, when one exists — greedy completions and the
-    #: sequential decomposition assemble the binding without a single
-    #: model-wide solution.  Consumed by :mod:`repro.verify` to re-check
+    #: ``assignment``, when one exists — greedy completions assemble the
+    #: binding without one.  Consumed by :mod:`repro.verify` to re-check
     #: feasibility row-by-row against the uncompiled model.
     solution: object | None = None
 
@@ -233,10 +219,13 @@ def build_remap_model(
     cpd_ns: float,
     st_target_ns: float,
     name: str = "remap",
-    objective: str = "wirelength",
-    objective_known_only: bool = False,
+    objective: str = "null",
 ) -> tuple[Model, RemapVariables, dict]:
-    """Assemble Eq. (3) for one ``ST_target``; returns model + variables + stats."""
+    """Assemble Eq. (3) for one ``ST_target``; returns model + variables + stats.
+
+    ``objective="wirelength"`` serves the ``repro verify --certify-backend``
+    oracle, which compares two solvers' optima.
+    """
     with span("milp_build", model=name) as build_span:
         model = Model(name)
         variables = add_assignment_variables(model, candidates, design)
@@ -255,10 +244,7 @@ def build_remap_model(
             variables, design, fabric, monitored_paths, cpd_ns
         )
         if objective == "wirelength":
-            add_wirelength_objective(
-                variables, design, fabric, frozen.positions,
-                known_only=objective_known_only,
-            )
+            add_wirelength_objective(variables, design, fabric, frozen.positions)
         elif objective != "null":
             raise ModelError(f"unknown objective {objective!r}")
         stats = {
@@ -273,6 +259,26 @@ def build_remap_model(
     gauge("milp.model.binaries").set(model.num_binary)
     gauge("milp.model.constraints").set(model.num_constraints)
     return model, variables, stats
+
+
+def add_lazy_path_rows(
+    variables: RemapVariables,
+    design: MappedDesign,
+    fabric: Fabric,
+    frozen: FrozenPlan,
+    paths: Sequence[MonitoredPath],
+    cpd_ns: float,
+    iteration: int,
+) -> tuple[int, int]:
+    """Add lazy Eq. (5) rows for ``paths`` to an assembled model; they
+    survive ``ST_target`` re-stamps.  Returns what
+    :func:`~repro.core.constraints.add_path_constraints` returns."""
+    build_coordinates(
+        variables, design, fabric, frozen.positions, collect_endpoints(paths)
+    )
+    return add_path_constraints(
+        variables, design, fabric, paths, cpd_ns, lazy_iteration=iteration
+    )
 
 
 def restamp_remap_model(model: Model, st_target_ns: float) -> None:
@@ -469,6 +475,7 @@ def solve_remap(
     backend: ScipyBackend | None = None,
     greedy_context: "GreedyContext | None" = None,
     warm: "WarmStart | None" = None,
+    retry_unfixed: bool = False,
 ) -> RemapOutcome:
     """Run the configured strategy on an assembled model.
 
@@ -476,14 +483,17 @@ def solve_remap(
     models (see :class:`GreedyContext`); without it the residual is always
     solved as an ILP, exactly as in the paper.  ``warm`` carries the
     previous iteration's hints when the same model is re-solved after an
-    ``ST_target`` re-stamp (see :class:`WarmStart`).
+    ``ST_target`` re-stamp (see :class:`WarmStart`).  ``retry_unfixed``
+    enables the two-step unfixed retry (Algorithm 1's relax loop; Step 1
+    keeps the cold pipeline).
     """
     backend = backend or config.make_backend()
     if config.strategy == "monolithic":
         return _solve_monolithic(model, variables, backend, warm)
     if config.strategy == "two-step":
         return _solve_two_step(
-            model, variables, config, backend, greedy_context, warm
+            model, variables, config, backend, greedy_context, warm,
+            retry_unfixed,
         )
     raise ModelError(f"unknown remap strategy {config.strategy!r}")
 
@@ -557,6 +567,7 @@ def _solve_two_step(
     backend: ScipyBackend,
     greedy_context: "GreedyContext | None" = None,
     warm: "WarmStart | None" = None,
+    retry_unfixed: bool = False,
 ) -> RemapOutcome:
     """The paper's LP-relax -> pre-map -> residual-ILP pipeline.
 
@@ -572,6 +583,12 @@ def _solve_two_step(
     iteration, that binding is tried first under the freshly re-stamped
     stress budget: a hit skips the LP relaxation and most of the ILP
     search; a miss reopens the fixes and falls through to the cold path.
+
+    With ``retry_unfixed``, a residual ILP that the threshold pre-mapping
+    left proven infeasible is re-solved once with the fixes reopened, on
+    models of at most ``config.greedy_threshold`` binaries: the Null
+    objective's LP vertex can fix the residual into a corner.  A retry
+    cut by a limit keeps the ``infeasible`` verdict.
     """
     stats: dict = {"strategy": "two-step", "rounding": config.rounding}
 
@@ -679,6 +696,21 @@ def _solve_two_step(
         # this model: after an infeasible verdict Algorithm 1 relaxes the
         # budget and the same binding is retried first.
         binding = _fixed_assignment(model, variables)
+        if (
+            retry_unfixed
+            and ilp_solution.status is SolveStatus.INFEASIBLE
+            and config.rounding == "threshold"
+            and report.groups_fixed
+            and model.num_binary <= config.greedy_threshold
+        ):
+            model.unfix_all()
+            with span("ilp_unfixed"):
+                retry = model.solve(backend)
+            counter("milp.unfixed_retries").inc()
+            stats["retry_status"] = retry.status.value
+            stats["retry_stats"] = _solve_stats_dict(retry)
+            if retry.status.has_solution:
+                ilp_solution = retry
         if not ilp_solution.status.has_solution:
             stats["status"] = "ilp_" + ilp_solution.status.value
             solve_span.set(status=stats["status"])
@@ -695,80 +727,3 @@ def _solve_two_step(
         solution=ilp_solution,
     )
 
-
-def solve_remap_sequential(
-    design: MappedDesign,
-    fabric: Fabric,
-    frozen: FrozenPlan,
-    candidates: Mapping[int, Sequence[int]],
-    monitored_paths: Sequence[MonitoredPath],
-    cpd_ns: float,
-    st_target_ns: float,
-    config: RemapConfig,
-    backend: ScipyBackend | None = None,
-) -> RemapOutcome:
-    """Per-context decomposition (ablation strategy).
-
-    Contexts are solved in increasing order; each context sees the stress
-    already committed by frozen ops and earlier contexts as a fixed
-    baseline.  Data always flows forward in time, so by solving in context
-    order every path entry endpoint from an earlier context is already a
-    constant.
-    """
-    backend = backend or config.make_backend()
-    committed = FrozenPlan(
-        positions=dict(frozen.positions),
-        orientation_of_context=dict(frozen.orientation_of_context),
-    )
-    assignment: dict[int, int] = {}
-    stats: dict = {"strategy": "sequential", "contexts": []}
-    for context in range(design.num_contexts):
-        context_ops = {
-            op_id: list(candidates[op_id])
-            for op_id in candidates
-            if design.ops[op_id].context == context
-        }
-        if not context_ops:
-            continue
-        context_paths = [
-            mp for mp in monitored_paths if mp.path.context == context
-        ]
-        try:
-            model, variables, build_stats = build_remap_model(
-                design,
-                fabric,
-                committed,
-                context_ops,
-                context_paths,
-                cpd_ns,
-                st_target_ns,
-                name=f"remap_ctx{context}",
-                objective=config.objective,
-                objective_known_only=True,
-            )
-        except BudgetInfeasibleError as exc:
-            stats["status"] = f"budget_infeasible_at_context_{context}: {exc}"
-            return RemapOutcome(feasible=False, stats=stats)
-        greedy_ctx = GreedyContext(
-            design=design,
-            fabric=fabric,
-            frozen_positions=committed.positions,
-            st_target_ns=st_target_ns,
-            frozen_stress_ns=frozen_stress_by_pe(design, committed),
-        )
-        with span("milp_context", context=context):
-            outcome = _solve_two_step(
-                model, variables, config, backend, greedy_ctx
-            )
-        stats["contexts"].append(
-            {"context": context, **build_stats, **outcome.stats}
-        )
-        if not outcome.feasible:
-            stats["status"] = f"infeasible_at_context_{context}"
-            _log.debug("sequential remap infeasible at context %d", context)
-            return RemapOutcome(feasible=False, stats=stats)
-        assignment.update(outcome.assignment)
-        for op_id, pe_index in outcome.assignment.items():
-            committed.positions[op_id] = pe_index
-    stats["status"] = "ok"
-    return RemapOutcome(feasible=True, assignment=assignment, stats=stats)

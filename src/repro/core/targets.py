@@ -133,7 +133,6 @@ def _stress_target_lower_bound(
         cpd_ns=float("inf"),
         st_target_ns=st_up,
         name="step1",
-        objective="null",
     )
 
     def lp_feasible(target: float) -> bool:
@@ -168,8 +167,8 @@ def _stress_target_lower_bound(
 
     # Verify integrality with the paper's two-step solve, nudging up by
     # delta until a valid delay-unaware floorplan exists.
-    target = high
     bumps = 0
+    target = relaxed_target(high, delta_ns, bumps)
     stats: dict = {}
     while True:
         restamp_remap_model(model, target)
@@ -191,7 +190,7 @@ def _stress_target_lower_bound(
         if outcome.feasible:
             break
         bumps += 1
-        target += delta_ns
+        target = relaxed_target(high, delta_ns, bumps)
         if target > st_up + delta_ns:
             # The original binding is integral and feasible at st_up; use it.
             target = st_up
@@ -205,6 +204,13 @@ def _stress_target_lower_bound(
         probes=probes,
         stats=stats,
     )
+
+
+def relaxed_target(base_ns: float, delta_ns: float, k: int) -> float:
+    """``ST_target`` after ``k`` Delta-relaxations of ``base_ns``, in one
+    rounding: accumulating ``+= Delta`` drifts by an ulp per step, and the
+    two-step verdict reacts to the last bit."""
+    return base_ns + k * delta_ns
 
 
 def default_delta_ns(original_stress: StressMap) -> float:

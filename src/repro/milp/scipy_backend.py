@@ -53,13 +53,10 @@ class ScipyBackend:
     ----------
     time_limit:
         Wall-clock limit in seconds passed to HiGHS (None = unlimited).
-    mip_rel_gap:
-        Relative MIP gap at which HiGHS may stop (None = solver default).
     """
 
-    def __init__(self, time_limit: float | None = None, mip_rel_gap: float | None = None):
+    def __init__(self, time_limit: float | None = None):
         self.time_limit = time_limit
-        self.mip_rel_gap = mip_rel_gap
 
     def solve(self, model: Model, **options) -> Solution:
         """Solve ``model``; per-call ``options`` override constructor values.
@@ -105,9 +102,6 @@ class ScipyBackend:
         time_limit = deadline.cap(options.get("time_limit", self.time_limit))
         if time_limit is not None:
             milp_options["time_limit"] = float(time_limit)
-        mip_rel_gap = options.get("mip_rel_gap", self.mip_rel_gap)
-        if mip_rel_gap is not None:
-            milp_options["mip_rel_gap"] = float(mip_rel_gap)
         if progress_enabled():
             # HiGHS's own branch-and-cut log is the live progress line for
             # this backend (incumbent/bound/gap per node batch).
@@ -191,10 +185,6 @@ class ScipyBackend:
                 stats.limit_reason = (
                     "time_limit" if time_limit is not None else "limit"
                 )
-            elif status is SolveStatus.OPTIMAL and (
-                mip_rel_gap and stats.mip_gap and stats.mip_gap > 0.0
-            ):
-                stats.limit_reason = "gap_limit"
             if result.x is not None:
                 stats.incumbent = float(form.objective @ result.x)
                 stats.sample(elapsed, stats.nodes, stats.incumbent, stats.best_bound)
@@ -259,9 +249,10 @@ class ScipyBackend:
                 options=options,
                 **kwargs,
             )
-            if result.status == 1 or result.x is None and result.status == 0:
-                # Iteration/time limit: retry once with dual simplex, which
-                # can return a feasible basis where IPM stalls.
+            if result.status in (1, 4) or result.x is None and result.status == 0:
+                # Iteration/time limit, or an IPM "solve error" (status 4,
+                # seen on infeasible zero-objective LPs): retry once with
+                # dual simplex, which can return a basis where IPM stalls.
                 counter("milp.highs.lp_simplex_retries").inc()
                 result = linprog(
                     form.objective,

@@ -65,8 +65,8 @@ def _solver_aggregates(solves: list[dict]) -> dict:
     """Roll ``solver`` span records up into one per-entry summary.
 
     ``limit_hits`` stays the historical total; ``limit_reasons`` breaks it
-    out per reason (``deadline``, ``node_limit``, ``time_limit``,
-    ``gap_limit``, ...) so a regression in limit hits names its cause.
+    out per reason (``deadline``, ``node_limit``, ``time_limit``, ...) so
+    a regression in limit hits names its cause.
     """
     agg = {
         "solves": len(solves),

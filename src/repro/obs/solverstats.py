@@ -98,7 +98,7 @@ class SolveStats:
     #: Objective of the root LP relaxation, when the backend solved one.
     lp_objective: float | None = None
     #: Why the solve stopped early: "" (ran to completion), "node_limit",
-    #: "time_limit", "deadline", "gap_limit", "solver_error",
+    #: "time_limit", "deadline", "solver_error",
     #: "fault_injected", "cancelled" (a portfolio race was decided
     #: elsewhere), "incomplete" (the prober could not round the LP).
     limit_reason: str = ""
@@ -250,6 +250,12 @@ class Algorithm1Stats:
     #: Per-iteration verdicts ("accepted", "infeasible", "cpd_violation",
     #: "frozen_budget_infeasible"), parallel to ``st_trajectory``.
     verdicts: list[str] = field(default_factory=list)
+    #: Lazy Eq. (5) path rows each iteration added after a CPD violation,
+    #: parallel to ``st_trajectory``.
+    rows_added: list[int] = field(default_factory=list)
+    #: Rejected iterations that re-solved at the same ST_target (a CPD
+    #: violation that added path rows) instead of relaxing by Delta.
+    row_rounds: int = 0
     final_st_target_ns: float = 0.0
     #: Aggregates over every backend solve of the run.
     solves: int = 0
@@ -272,12 +278,21 @@ class Algorithm1Stats:
 
     @property
     def relaxations(self) -> int:
-        """ST_target += Delta steps taken (iterations that did not accept)."""
-        return sum(1 for verdict in self.verdicts if verdict != "accepted")
+        """ST_target += Delta steps taken (rejections minus row rounds)."""
+        rejected = sum(1 for verdict in self.verdicts if verdict != "accepted")
+        return rejected - self.row_rounds
 
-    def record_iteration(self, st_target_ns: float, verdict: str) -> None:
+    @property
+    def lazy_path_rows(self) -> int:
+        """Lazy path rows added over the whole relax loop."""
+        return sum(self.rows_added)
+
+    def record_iteration(
+        self, st_target_ns: float, verdict: str, rows_added: int = 0
+    ) -> None:
         self.st_trajectory.append(st_target_ns)
         self.verdicts.append(verdict)
+        self.rows_added.append(rows_added)
 
     def absorb_solve(self, stats: Mapping | None) -> None:
         """Fold one solve's :meth:`SolveStats.to_dict` into the aggregates."""
@@ -302,6 +317,8 @@ class Algorithm1Stats:
             "relaxations": self.relaxations,
             "st_trajectory": list(self.st_trajectory),
             "verdicts": list(self.verdicts),
+            "rows_added": list(self.rows_added),
+            "lazy_path_rows": self.lazy_path_rows,
             "final_st_target_ns": self.final_st_target_ns,
             "solves": self.solves,
             "total_nodes": self.total_nodes,

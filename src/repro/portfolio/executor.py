@@ -135,7 +135,6 @@ class PortfolioBackend:
         self,
         lanes: tuple[str, ...] = DEFAULT_LANES,
         time_limit: float | None = None,
-        mip_rel_gap: float | None = None,
         hedge_delay_s: float = 1.5,
         lane_timeout_s: float | None = None,
         certify: bool = True,
@@ -144,7 +143,7 @@ class PortfolioBackend:
             raise SolverError("portfolio needs at least one lane")
         self.lane_names = tuple(lanes)
         self.backends = {
-            name: make_lane_backend(name, time_limit, mip_rel_gap)
+            name: make_lane_backend(name, time_limit)
             for name in self.lane_names
         }
         self.board = BreakerBoard(self.lane_names)

@@ -168,16 +168,12 @@ class FeasibilityProber:
         )
 
 
-def make_lane_backend(
-    name: str,
-    time_limit: float | None = None,
-    mip_rel_gap: float | None = None,
-):
+def make_lane_backend(name: str, time_limit: float | None = None):
     """Instantiate the backend for one lane name."""
     if name == "highs":
         from repro.milp.scipy_backend import ScipyBackend
 
-        return ScipyBackend(time_limit=time_limit, mip_rel_gap=mip_rel_gap)
+        return ScipyBackend(time_limit=time_limit)
     if name == "branch-bound":
         from repro.milp.branch_bound import BranchBoundBackend
 

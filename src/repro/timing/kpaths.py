@@ -10,8 +10,8 @@ is what we use for bounds, plus a branch-and-bound DFS for enumeration.)
 
 Paths that fall outside the filter are *unmonitored*: they may in
 principle grow beyond the CPD after re-mapping, which is why Algorithm 1
-re-checks the CPD of every accepted solution and relaxes ``ST_target``
-when violated.
+re-checks the CPD of every solution and adds the paths that grew past it
+to the model.
 """
 
 from __future__ import annotations
@@ -169,39 +169,6 @@ def enumerate_context_paths(
         if start_delay + cont[op] >= threshold_ns - DELAY_EPS:
             dfs([op], start_delay)
     return found, truncated
-
-
-def worst_path(
-    design: MappedDesign,
-    floorplan: Floorplan,
-    graphs: list[ContextTimingGraph],
-    report: TimingReport,
-) -> MonitoredPath | None:
-    """The CPD-achieving path of the slowest context on ``floorplan``.
-
-    Used by the solve diagnostics to name the *culprit* of a CPD
-    violation: when Algorithm 1 rejects a re-mapped floorplan because an
-    unmonitored path grew past the original CPD, this is that path.
-    """
-    if not report.per_context:
-        return None
-    worst = max(
-        range(len(report.per_context)),
-        key=lambda i: report.per_context[i].cpd_ns,
-    )
-    timing = report.per_context[worst]
-    if timing.cpd_ns <= 0.0:
-        return None
-    paths, _ = enumerate_context_paths(
-        graphs[worst],
-        floorplan,
-        threshold_ns=timing.cpd_ns - DELAY_EPS,
-        context_cpd_ns=timing.cpd_ns,
-        max_paths=8,
-    )
-    if not paths:
-        return None
-    return max(paths, key=lambda monitored: monitored.delay_ns)
 
 
 def filter_paths(

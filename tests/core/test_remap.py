@@ -13,7 +13,6 @@ from repro.core import (
     default_candidates,
     frozen_stress_by_pe,
     solve_remap,
-    solve_remap_sequential,
 )
 from repro.errors import ModelError
 from repro.timing import analyze, filter_paths
@@ -102,7 +101,7 @@ class TestBuildModel:
         ops = remap_inputs["design"].num_ops
         assert stats["binaries"] == ops * 16
         assert len(variables.assign) == ops
-        assert model.has_objective()  # wirelength default
+        assert not model.has_objective()  # the paper's ObjFunc: Null
 
     def test_null_objective_mode(self, remap_inputs):
         model, _, _ = build_remap_model(
@@ -116,6 +115,19 @@ class TestBuildModel:
             objective="null",
         )
         assert not model.has_objective()
+
+    def test_wirelength_objective_for_the_verifier_oracle(self, remap_inputs):
+        model, _, _ = build_remap_model(
+            remap_inputs["design"],
+            remap_inputs["fabric"],
+            empty_frozen(),
+            remap_inputs["candidates"],
+            remap_inputs["monitored"],
+            remap_inputs["cpd"],
+            st_target_ns=remap_inputs["stress"].max_accumulated_ns,
+            objective="wirelength",
+        )
+        assert model.has_objective()
 
     def test_unknown_objective_rejected(self, remap_inputs):
         with pytest.raises(ModelError):
@@ -142,7 +154,6 @@ class TestSolveStrategies:
             remap_inputs["monitored"],
             remap_inputs["cpd"],
             st_target_ns=st_target,
-            objective=config.objective,
         )
         return solve_remap(model, variables, config)
 
@@ -201,39 +212,3 @@ class TestSolveStrategies:
         with pytest.raises(ModelError):
             outcome.floorplan(remap_inputs["floorplan"], empty_frozen())
 
-
-class TestSequentialStrategy:
-    def test_sequential_feasible_and_legal(self, remap_inputs):
-        config = RemapConfig(strategy="sequential", time_limit_s=30)
-        outcome = solve_remap_sequential(
-            remap_inputs["design"],
-            remap_inputs["fabric"],
-            empty_frozen(),
-            remap_inputs["candidates"],
-            remap_inputs["monitored"],
-            remap_inputs["cpd"],
-            remap_inputs["stress"].max_accumulated_ns,
-            config,
-        )
-        assert outcome.feasible
-        floorplan = outcome.floorplan(remap_inputs["floorplan"], empty_frozen())
-        floorplan.validate()
-        new_stress = compute_stress_map(remap_inputs["design"], floorplan)
-        assert (
-            new_stress.max_accumulated_ns
-            <= remap_inputs["stress"].max_accumulated_ns + 1e-6
-        )
-
-    def test_sequential_reports_per_context(self, remap_inputs):
-        config = RemapConfig(strategy="sequential", time_limit_s=30)
-        outcome = solve_remap_sequential(
-            remap_inputs["design"],
-            remap_inputs["fabric"],
-            empty_frozen(),
-            remap_inputs["candidates"],
-            remap_inputs["monitored"],
-            remap_inputs["cpd"],
-            remap_inputs["stress"].max_accumulated_ns,
-            config,
-        )
-        assert len(outcome.stats["contexts"]) >= 1

@@ -62,6 +62,33 @@ class TestScipyBackend:
         assert solution.objective == pytest.approx(3.0)
         assert solution[y] == pytest.approx(3.0)
 
+    def test_lp_ipm_solve_error_retried_with_simplex(self, monkeypatch):
+        """HiGHS IPM can report status 4 ("Solve error") on an infeasible
+        zero-objective LP; the fast path must retry with dual simplex and
+        report the infeasibility, not a solver failure."""
+        import scipy.optimize
+        from scipy.optimize import OptimizeResult
+
+        real_linprog = scipy.optimize.linprog
+        methods = []
+
+        def ipm_fails(*args, method="highs", **kwargs):
+            methods.append(method)
+            if method == "highs-ipm":
+                return OptimizeResult(
+                    x=None, status=4, success=False, message="Solve error"
+                )
+            return real_linprog(*args, method=method, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", ipm_fails)
+        model = Model("null_lp")
+        x = model.add_continuous("x", 0, 4)
+        y = model.add_continuous("y", 0, 4)
+        model.add_constraint(x + y >= 9)
+        solution = model.solve(ScipyBackend())
+        assert methods == ["highs-ipm", "highs"]
+        assert solution.status is SolveStatus.INFEASIBLE
+
     def test_mixed_integer_continuous(self):
         model = Model("mix")
         n = model.add_var("n", 0, 10, vtype=__import__("repro.milp", fromlist=["VarType"]).VarType.INTEGER)

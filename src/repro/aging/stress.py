@@ -18,8 +18,7 @@ import numpy as np
 from repro.arch.context import Floorplan
 from repro.errors import AgingError
 from repro.hls.allocate import MappedDesign
-from repro.kernels import stress as stress_kernel
-from repro.kernels import vectorized
+from repro.obs import timer
 
 
 @dataclass
@@ -84,41 +83,22 @@ def compute_stress_map(design: MappedDesign, floorplan: Floorplan) -> StressMap:
     """Build the stress map of a design under a floorplan.
 
     Raises :class:`AgingError` if any op's stress exceeds the clock period
-    (a physically impossible duty > 1).
-
-    Under ``REPRO_KERNELS=vector`` (the default) the map is assembled by
-    one :mod:`repro.kernels.stress` scatter-add over cached per-design
-    index arrays — bit-identical accumulation (``np.add.at`` applies
-    deposits sequentially in index order, the scalar loop's order).  The
-    kernel declines on any validation failure so errors always carry the
-    scalar loop's exact first-offender message.
+    (a physically impossible duty > 1) or an op is not placed, naming the
+    first such op in ``design.ops`` order.
     """
-    if vectorized():
-        per_context = stress_kernel.per_context_stress(design, floorplan)
-        if per_context is not None:
-            return StressMap(
-                per_context_ns=per_context,
-                clock_period_ns=design.clock_period_ns,
-            )
-    return _compute_stress_map_scalar(design, floorplan)
-
-
-def _compute_stress_map_scalar(
-    design: MappedDesign, floorplan: Floorplan
-) -> StressMap:
-    """The original per-op Python loop (the kernel's reference path)."""
-    num_pes = floorplan.fabric.num_pes
-    per_context = np.zeros((design.num_contexts, num_pes))
-    for op in design.ops.values():
-        if op.stress_ns > design.clock_period_ns + 1e-9:
-            raise AgingError(
-                f"op {op.op_id} stress {op.stress_ns}ns exceeds the clock "
-                f"period {design.clock_period_ns}ns"
-            )
-        pe_index = floorplan.pe_of.get(op.op_id)
-        if pe_index is None:
-            raise AgingError(f"op {op.op_id} is not placed")
-        per_context[op.context, pe_index] += op.stress_ns
+    # perfbench's eval.busy_s reads this histogram name; keep it.
+    with timer("kernels.stress.seconds"):
+        per_context = np.zeros((design.num_contexts, floorplan.fabric.num_pes))
+        for op in design.ops.values():
+            if op.stress_ns > design.clock_period_ns + 1e-9:
+                raise AgingError(
+                    f"op {op.op_id} stress {op.stress_ns}ns exceeds the clock "
+                    f"period {design.clock_period_ns}ns"
+                )
+            pe_index = floorplan.pe_of.get(op.op_id)
+            if pe_index is None:
+                raise AgingError(f"op {op.op_id} is not placed")
+            per_context[op.context, pe_index] += op.stress_ns
     return StressMap(
         per_context_ns=per_context, clock_period_ns=design.clock_period_ns
     )

@@ -318,7 +318,6 @@ def cmd_bench_compare(args) -> int:
         wall_rel=args.threshold_wall,
         mem_rel=args.threshold_mem,
         nodes_rel=args.threshold_nodes,
-        stage_rel=args.threshold_stage,
     )
     result = perf.compare_records(baseline, candidate, thresholds)
     if result.rows:
@@ -327,39 +326,17 @@ def cmd_bench_compare(args) -> int:
              "base_nodes", "cand_nodes"],
             result.rows,
         ))
-    if result.stage_rows:
-        print("\nevaluation stages")
-        print("-----------------")
-        print(format_table(
-            ["bench", "stage", "base_s", "cand_s", "ratio"],
-            result.stage_rows,
-        ))
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    failed = False
     if result.regressions:
         print("\nREGRESSIONS")
         for regression in result.regressions:
             print(f"  {regression.describe()}")
-        if args.warn_only:
-            print("(--warn-only: not failing the run)", file=sys.stderr)
-        else:
-            failed = True
-    if result.stage_regressions:
-        print("\nEVALUATION-STAGE REGRESSIONS")
-        for regression in result.stage_regressions:
-            print(f"  {regression.describe()}")
-        if args.gate_stages:
-            # The kernels perf gate: stage regressions fail the run even
-            # under --warn-only (a silent scalar fallback must not pass CI).
-            failed = True
-        else:
-            print("(not gated; pass --gate-stages to fail on these)",
-                  file=sys.stderr)
-    if failed:
-        return 3
-    if not result.regressions and not result.stage_regressions:
-        print("\nno regressions")
+        if not args.warn_only:
+            return 3
+        print("(--warn-only: not failing the run)", file=sys.stderr)
+        return 0
+    print("\nno regressions")
     return 0
 
 
@@ -858,17 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument(
         "--warn-only", action="store_true",
         help="report regressions but exit 0 (CI soft mode)",
-    )
-    b.add_argument(
-        "--threshold-stage", type=float, default=0.60, metavar="REL",
-        help="allowed relative evaluation-stage wall increase "
-        "(default: 0.60)",
-    )
-    b.add_argument(
-        "--gate-stages", action="store_true",
-        help="fail (exit 3) on evaluation-stage regressions (sta, stress, "
-        "thermal, ...) even under --warn-only — the vectorized-kernels "
-        "perf gate",
     )
     b.set_defaults(func=cmd_bench_compare)
 

@@ -95,10 +95,6 @@ class AgingError(ReproError):
     """The NBTI/MTTF model received out-of-domain parameters."""
 
 
-class KernelConfigError(ReproError):
-    """An unknown ``REPRO_KERNELS`` evaluation-kernel mode was requested."""
-
-
 class FlowError(ReproError):
     """The end-to-end CAD flow could not produce a valid floorplan."""
 

@@ -41,6 +41,7 @@ from repro.obs.metrics import (
     gauge,
     histogram,
     registry,
+    timer,
 )
 from repro.obs.sinks import (
     CollectorSink,
@@ -117,4 +118,5 @@ __all__ = [
     "span",
     "summarize_records",
     "summarize_trace",
+    "timer",
 ]

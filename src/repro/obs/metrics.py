@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import random
 import threading
+import time
 import zlib
 from typing import Iterator
 
@@ -226,3 +227,24 @@ def gauge(name: str) -> Gauge:
 def histogram(name: str) -> Histogram:
     """Default-registry histogram."""
     return _default.histogram(name)
+
+
+class timer:
+    """Observe a ``with`` block's wall time on default-registry histogram
+    ``name``, e.g. ``with timer("kernels.sta.seconds"): ...``.
+
+    A class rather than ``@contextmanager``: it wraps per-context STA and
+    stress calls, where generator-frame overhead would show up in the
+    very times it records.
+    """
+
+    __slots__ = ("_name", "_start")
+
+    def __init__(self, name: str) -> None:
+        self._name = name
+
+    def __enter__(self) -> None:
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc_info) -> None:
+        _default.histogram(self._name).observe(time.perf_counter() - self._start)

@@ -34,7 +34,7 @@ from repro.obs.logs import get_logger
 from repro.obs.metrics import registry
 from repro.obs.sinks import CollectorSink, replay_records
 from repro.obs.spans import attached, clear_sinks
-from repro.obs.trace import EVALUATION_STAGES, summarize_records
+from repro.obs.trace import summarize_records
 
 _log = get_logger("obs.perf")
 
@@ -286,13 +286,6 @@ class CompareThresholds:
     mem_abs_mb: float = 8.0
     nodes_rel: float = 0.50
     nodes_abs: int = 50
-    #: Per-evaluation-stage wall time (sta, stress, thermal, ...).  The
-    #: stages are small, so the relative allowance is loose but the
-    #: absolute floor is tight — a vectorized kernel silently falling
-    #: back to the scalar path shows up as a multi-x stage blowup well
-    #: past both.
-    stage_rel: float = 0.60
-    stage_abs_s: float = 0.05
 
 
 @dataclass
@@ -323,13 +316,6 @@ class CompareResult:
 
     rows: list[list[object]] = field(default_factory=list)
     regressions: list[Regression] = field(default_factory=list)
-    #: Evaluation-stage wall-time regressions, kept apart from the
-    #: headline metrics: the CLI gates on them only under
-    #: ``--gate-stages`` (where they are fatal even with ``--warn-only``).
-    stage_regressions: list[Regression] = field(default_factory=list)
-    #: Per-entry evaluation-stage rows:
-    #: ``[bench, stage, base_s, cand_s, ratio]``.
-    stage_rows: list[list[object]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -351,54 +337,6 @@ def _check(
             Regression(benchmark=benchmark, metric=metric,
                        baseline=base, candidate=cand)
         )
-
-
-def _stage_totals(entry: dict) -> dict[str, float]:
-    """Evaluation-stage wall totals of one bench entry, by leaf name.
-
-    Bench records store stages keyed by full span path; this folds every
-    path whose leaf is an :data:`~repro.obs.trace.EVALUATION_STAGES`
-    name into one total — the same aggregation
-    :meth:`~repro.obs.trace.TraceSummary.evaluation_stages` applies to
-    live traces.
-    """
-    totals: dict[str, float] = {}
-    for path, stats in (entry.get("stages") or {}).items():
-        leaf = path.split(">")[-1].strip()
-        if leaf in EVALUATION_STAGES:
-            totals[leaf] = totals.get(leaf, 0.0) + float(
-                stats.get("total_s", 0.0)
-            )
-    return totals
-
-
-def _compare_stages(
-    result: CompareResult,
-    name: str,
-    base: dict,
-    cand: dict,
-    th: CompareThresholds,
-) -> None:
-    base_totals = _stage_totals(base)
-    cand_totals = _stage_totals(cand)
-    for stage in EVALUATION_STAGES:
-        b = base_totals.get(stage)
-        c = cand_totals.get(stage)
-        if b is None and c is None:
-            continue
-        b, c = b or 0.0, c or 0.0
-        result.stage_rows.append(
-            [name, stage, round(b, 4), round(c, 4), _ratio_cell(b, c)]
-        )
-        if c > b * (1.0 + th.stage_rel) and c - b > th.stage_abs_s:
-            result.stage_regressions.append(
-                Regression(
-                    benchmark=name,
-                    metric=f"stage.{stage}",
-                    baseline=b,
-                    candidate=c,
-                )
-            )
 
 
 def compare_records(
@@ -455,7 +393,6 @@ def compare_records(
             )
         if base.get("cpd_preserved") and not cand.get("cpd_preserved"):
             result.warnings.append(f"{name}: CPD no longer preserved")
-        _compare_stages(result, name, base, cand, th)
         result.rows.append([
             name,
             round(b_wall, 3), round(c_wall, 3),

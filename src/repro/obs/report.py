@@ -153,12 +153,12 @@ def _timeline_section(trace: TraceSummary | None) -> Section:
 
 
 def _evaluation_section(trace: TraceSummary | None) -> Section:
-    """Evaluation-stage breakdown (the vectorized kernels' host spans).
+    """Evaluation-stage breakdown.
 
     Aggregates STA / stress / thermal / certification spans across the
-    whole span tree and lists the ``kernels.*`` timer and lowering-cache
-    metrics beneath them, so a report answers "did the kernels run, and
-    what did evaluation cost" at a glance.  Empty (and therefore
+    whole span tree and lists the ``kernels.*`` timers (STA, critical-path
+    DP, stress map, thermal solves) beneath them, so a report answers
+    "what did evaluation cost" at a glance.  Empty (and therefore
     omitted) when the trace carries no evaluation spans.
     """
     section = Section("evaluation", "Evaluation stages")

@@ -58,12 +58,11 @@ DEGRADATION_EVENTS = frozenset(
     }
 )
 
-#: Leaf span names of the flow's *evaluation* stages — the hosts of the
-#: vectorized kernels (``repro.kernels``).  ``trace summarize`` and
-#: ``repro explain`` aggregate these across the span tree (a stage may
-#: appear under several parents: phase1/phase2 evaluate, algorithm1
-#: iterations) into one per-stage breakdown; ``bench compare
-#: --gate-stages`` gates regressions on the same totals.  Order is the
+#: Leaf span names of the flow's *evaluation* stages: STA, path
+#: filtering, stress, thermal, MTTF and certification.  ``trace
+#: summarize`` and ``repro explain`` aggregate these across the span tree
+#: (a stage may appear under several parents: phase1/phase2 evaluate,
+#: algorithm1 iterations) into one per-stage breakdown.  Order is the
 #: display order.
 EVALUATION_STAGES = (
     "evaluate",
@@ -187,7 +186,7 @@ class TraceSummary:
         return rows
 
     def kernel_metrics(self) -> dict[str, dict]:
-        """The ``kernels.*`` metric records (timers + lowering counters)."""
+        """The ``kernels.*`` metric records (evaluation-stage timers)."""
         return {
             name: data
             for name, data in sorted(self.metrics.items())

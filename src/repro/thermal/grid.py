@@ -21,7 +21,6 @@ from scipy.sparse.linalg import splu
 
 from repro.arch.fabric import Fabric
 from repro.errors import ThermalError
-from repro.kernels import vectorized
 
 
 @dataclass(frozen=True)
@@ -55,12 +54,9 @@ class ThermalGrid:
     """Pre-factorised steady-state solver for one fabric geometry.
 
     The conduction matrix is LU-factorised **once** at construction
-    (SuperLU via :func:`scipy.sparse.linalg.splu`); every steady-state
-    solve — scalar :meth:`solve` or batched :meth:`solve_many` — is then
-    a pair of triangular back-substitutions.  Both paths share the same
-    factorisation, and SuperLU back-substitutes multi-RHS systems one
-    column at a time, so a batched solve is bitwise identical to the
-    per-context scalar solves it replaces.
+    (SuperLU via :func:`scipy.sparse.linalg.splu`); every :meth:`solve`
+    — one per context of a thermal simulation — is then a pair of
+    triangular back-substitutions against that shared factorisation.
     """
 
     def __init__(self, fabric: Fabric, config: ThermalGridConfig | None = None):
@@ -74,11 +70,6 @@ class ThermalGrid:
         n = self.fabric.num_pes
         g_lat = self.config.g_lateral_w_per_k
         g_vert = self.config.g_vertical_w_per_k
-        if vectorized():
-            from repro.kernels.thermal import laplacian_coo
-
-            rows, cols, data = laplacian_coo(self.fabric, g_lat, g_vert)
-            return sparse.csc_matrix((data, (rows, cols)), shape=(n, n))
         rows: list[int] = []
         cols: list[int] = []
         data: list[float] = []
@@ -105,28 +96,6 @@ class ThermalGrid:
         rhs = power_w + self.config.g_vertical_w_per_k * self.config.ambient_k
         temperatures = self._lu.solve(rhs)
         return np.asarray(temperatures, dtype=float)
-
-    def solve_many(self, power_w: np.ndarray) -> np.ndarray:
-        """Steady-state temperatures for many power maps at once.
-
-        ``power_w`` has shape ``(contexts, num_pes)``; the result has the
-        same shape.  One multi-RHS back-substitution against the shared
-        LU factorisation — per-row results are bitwise equal to
-        :meth:`solve` on each row.
-        """
-        power_w = np.asarray(power_w, dtype=float)
-        n = self.fabric.num_pes
-        if power_w.ndim != 2 or power_w.shape[1] != n:
-            raise ThermalError(
-                f"power matrix shape {power_w.shape} incompatible with ({n},)"
-            )
-        if np.any(power_w < 0):
-            raise ThermalError("negative PE power")
-        if power_w.shape[0] == 0:
-            return np.empty_like(power_w)
-        rhs = power_w + self.config.g_vertical_w_per_k * self.config.ambient_k
-        temperatures = self._lu.solve(np.ascontiguousarray(rhs.T))
-        return np.asarray(temperatures, dtype=float).T
 
     def as_grid(self, per_pe: np.ndarray) -> np.ndarray:
         """Reshape a per-PE vector into the (rows, cols) grid layout."""

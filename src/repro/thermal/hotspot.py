@@ -15,8 +15,7 @@ import numpy as np
 
 from repro.arch.fabric import Fabric
 from repro.errors import ThermalError
-from repro.kernels import kernel_timer, vectorized
-from repro.obs import counter, span
+from repro.obs import counter, span, timer
 from repro.resilience.deadline import current_deadline
 from repro.resilience.faults import should_inject
 from repro.thermal.grid import ThermalGrid, ThermalGridConfig
@@ -101,15 +100,9 @@ class ThermalSimulator:
         deadline = current_deadline()
         num_contexts = duty_per_context.shape[0]
         with span("thermal", contexts=num_contexts):
-            if vectorized() and num_contexts:
-                deadline.check("thermal:batch")
-                with kernel_timer("thermal"):
-                    power = self.power_model.power_map_many(
-                        self.fabric, duty_per_context
-                    )
-                    maps = self._grid.solve_many(power)
-            else:
-                maps = np.empty_like(duty_per_context)
+            maps = np.empty_like(duty_per_context)
+            # perfbench's eval.busy_s reads this histogram name; keep it.
+            with timer("kernels.thermal.seconds"):
                 for context in range(num_contexts):
                     deadline.check(f"thermal:context{context}")
                     power = self.power_model.power_map(

@@ -49,13 +49,3 @@ class PowerModel:
         if np.any(duties < -1e-9) or np.any(duties > 1.0 + 1e-9):
             raise ThermalError("duty cycles must lie in [0, 1]")
         return self.leakage_w + self.active_w * np.clip(duties, 0.0, 1.0)
-
-    def power_map_many(self, fabric: Fabric, duties: np.ndarray) -> np.ndarray:
-        """Per-PE power for every context at once (rows = contexts).
-
-        Row ``c`` is bit-identical to ``power_map(fabric, duties[c])``
-        (the formula is elementwise).
-        """
-        from repro.kernels.thermal import power_map_many
-
-        return power_map_many(self, fabric, duties)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from repro.arch.context import Floorplan
 from repro.errors import TimingError
 from repro.hls.allocate import MappedDesign
-from repro.kernels import vectorized
 
 
 class EndpointKind(enum.Enum):
@@ -162,12 +161,4 @@ def build_timing_graphs(design: MappedDesign) -> list[ContextTimingGraph]:
     for src, ordinal in design.output_edges:
         ctx = design.ops[src].context
         graphs[ctx].exits[src].append(Endpoint.out_pad(ordinal))
-    if graphs and vectorized():
-        # The kernels' fused lowering is pure structure — it depends only
-        # on what this function just built, never on a floorplan — so it
-        # is derived here with the graphs rather than lazily inside the
-        # first (timed) STA call.
-        from repro.kernels import sta as sta_kernel
-
-        sta_kernel.lower_design(graphs)
     return graphs

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.arch.context import Floorplan
 from repro.hls.allocate import MappedDesign
-from repro.kernels import sta as sta_kernel
-from repro.kernels import vectorized
+from repro.obs import timer
 from repro.timing.graph import ContextTimingGraph, Endpoint, build_timing_graphs
 from repro.timing.sta import DELAY_EPS, TimingPath, TimingReport, analyze, _wire_ns
 
@@ -70,34 +69,23 @@ def _continuations(
 
     ``cont[op]`` = best additional delay after op completes: 0 (stop at
     its output register) or the best (wire + delay + cont) over intra
-    successors.  Pad wires carry no path delay (see repro.timing.sta).
-
-    Vectorized via :mod:`repro.kernels.sta` under ``REPRO_KERNELS=vector``
-    (bit-identical: exact ``max`` reductions, scalar association order).
+    successors, computed in reverse topological order.  Pad wires carry
+    no path delay (see repro.timing.sta).
     """
-    if vectorized():
-        cont = sta_kernel.continuations(graph, floorplan)
-        if cont is not None:
-            return cont
-    return _continuations_scalar(graph, floorplan)
-
-
-def _continuations_scalar(
-    graph: ContextTimingGraph, floorplan: Floorplan
-) -> dict[int, float]:
-    """The original reverse-topological Python DP (the kernel's reference)."""
-    succs = graph.intra_succs()
-    cont: dict[int, float] = {}
-    for op in reversed(graph.topological_ops()):
-        best = 0.0
-        for succ in succs[op]:
-            step = (
-                _wire_ns(floorplan, Endpoint.op(op), Endpoint.op(succ))
-                + graph.delay_of[succ]
-                + cont[succ]
-            )
-            best = max(best, step)
-        cont[op] = best
+    # perfbench's timing.busy_s reads this histogram name; keep it.
+    with timer("kernels.kpaths.seconds"):
+        succs = graph.intra_succs()
+        cont: dict[int, float] = {}
+        for op in reversed(graph.topological_ops()):
+            best = 0.0
+            for succ in succs[op]:
+                step = (
+                    _wire_ns(floorplan, Endpoint.op(op), Endpoint.op(succ))
+                    + graph.delay_of[succ]
+                    + cont[succ]
+                )
+                best = max(best, step)
+            cont[op] = best
     return cont
 
 
@@ -123,20 +111,12 @@ def enumerate_context_paths(
     expansions = 0
     truncated = False
 
-    # Per-edge wire delays are floorplan-pure, so they are hoisted out of
-    # the DFS (which revisits edges on every expansion).  The vectorized
-    # kernel and the per-edge scalar computation produce bit-identical
-    # values; either way the DFS itself is unchanged.
-    edge_ns: dict[tuple[int, int], float] | None = None
-    if vectorized():
-        edge_ns = sta_kernel.edge_wire_ns(graph, floorplan)
-    if edge_ns is None:
-        edge_ns = {
-            (src, dst): _wire_ns(
-                floorplan, Endpoint.op(src), Endpoint.op(dst)
-            )
-            for src, dst in graph.intra_edges
-        }
+    # Per-edge wire delays depend only on the floorplan, so they are
+    # computed once here rather than on every DFS expansion.
+    edge_ns = {
+        (src, dst): _wire_ns(floorplan, Endpoint.op(src), Endpoint.op(dst))
+        for src, dst in graph.intra_edges
+    }
 
     def dfs(chain: list[int], delay_so_far: float) -> None:
         nonlocal expansions, truncated

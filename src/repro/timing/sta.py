@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from repro.arch.context import Floorplan
 from repro.errors import TimingError
 from repro.hls.allocate import MappedDesign
-from repro.kernels import vectorized
+from repro.obs import timer
 from repro.timing.graph import ContextTimingGraph, Endpoint, build_timing_graphs
 
 #: Two delays within this many ns are considered equal (float guard).
@@ -114,51 +114,34 @@ def analyze_context(
 
     Chains start at time zero (operand registers latch at the cycle
     boundary; register/pad input wires carry no path delay — see module
-    docstring) and accumulate PE + intra-context wire delays.
-
-    Under ``REPRO_KERNELS=vector`` (the default) the arrival propagation
-    runs on the levelized :mod:`repro.kernels.sta` kernel, bit-identical
-    to the scalar loop below; ``REPRO_KERNELS=scalar`` (or a floorplan
-    missing one of the graph's ops) falls back to the scalar path.
+    docstring) and accumulate PE + intra-context wire delays.  The CPD
+    scan visits ``graph.ops`` in order: a completion more than
+    ``DELAY_EPS`` past the running CPD replaces the critical set, one
+    within ``DELAY_EPS`` of it joins the set.
     """
-    if vectorized():
-        result = _sta_kernel.arrivals(graph, floorplan)
-        if result is not None:
-            arrival_ns, cpd_ns, critical_ops = result
-            return ContextTiming(
-                context=graph.context,
-                arrival_ns=arrival_ns,
-                cpd_ns=cpd_ns,
-                critical_ops=critical_ops,
-            )
-    return _analyze_context_scalar(graph, floorplan)
+    # perfbench's timing.busy_s reads this histogram name; keep it.
+    with timer("kernels.sta.seconds"):
+        arrival: dict[int, float] = {}
+        preds = graph.intra_preds()
+        for op in graph.topological_ops():
+            start = 0.0
+            for pred in preds[op]:
+                start = max(
+                    start,
+                    arrival[pred]
+                    + _wire_ns(floorplan, Endpoint.op(pred), Endpoint.op(op)),
+                )
+            arrival[op] = start + graph.delay_of[op]
 
-
-def _analyze_context_scalar(
-    graph: ContextTimingGraph, floorplan: Floorplan
-) -> ContextTiming:
-    """The original per-edge Python STA loop (the kernels' reference)."""
-    arrival: dict[int, float] = {}
-    preds = graph.intra_preds()
-    for op in graph.topological_ops():
-        start = 0.0
-        for pred in preds[op]:
-            start = max(
-                start,
-                arrival[pred]
-                + _wire_ns(floorplan, Endpoint.op(pred), Endpoint.op(op)),
-            )
-        arrival[op] = start + graph.delay_of[op]
-
-    cpd = 0.0
-    critical: list[int] = []
-    for op in graph.ops:
-        completion = arrival[op]
-        if completion > cpd + DELAY_EPS:
-            cpd = completion
-            critical = [op]
-        elif completion > cpd - DELAY_EPS:
-            critical.append(op)
+        cpd = 0.0
+        critical: list[int] = []
+        for op in graph.ops:
+            completion = arrival[op]
+            if completion > cpd + DELAY_EPS:
+                cpd = completion
+                critical = [op]
+            elif completion > cpd - DELAY_EPS:
+                critical.append(op)
     return ContextTiming(
         context=graph.context, arrival_ns=arrival, cpd_ns=cpd, critical_ops=critical
     )
@@ -169,29 +152,8 @@ def analyze(
     floorplan: Floorplan,
     graphs: list[ContextTimingGraph] | None = None,
 ) -> TimingReport:
-    """Full-design STA: per-context CPD and the global CPD.
-
-    Under ``REPRO_KERNELS=vector`` every context's arrivals propagate in
-    one fused levelized pass (:func:`repro.kernels.sta.analyze_design`),
-    bit-identical per context to :func:`analyze_context`.
-    """
+    """Full-design STA: per-context CPD and the global CPD."""
     graphs = graphs or build_timing_graphs(design)
-    if vectorized():
-        results = _sta_kernel.analyze_design(graphs, floorplan)
-        if results is not None:
-            per_context = [
-                ContextTiming(
-                    context=graph.context,
-                    arrival_ns=arrival_ns,
-                    cpd_ns=cpd_ns,
-                    critical_ops=critical_ops,
-                )
-                for graph, (arrival_ns, cpd_ns, critical_ops) in zip(
-                    graphs, results
-                )
-            ]
-            cpd = max((ct.cpd_ns for ct in per_context), default=0.0)
-            return TimingReport(per_context=per_context, cpd_ns=cpd)
     per_context = [analyze_context(g, floorplan) for g in graphs]
     cpd = max((ct.cpd_ns for ct in per_context), default=0.0)
     return TimingReport(per_context=per_context, cpd_ns=cpd)
@@ -266,8 +228,3 @@ def all_critical_paths(
             critical_paths(graph, floorplan, timing, max_paths_per_context)
         )
     return paths
-
-
-# Imported last: repro.kernels.sta itself imports DELAY_EPS from this
-# module, so the import must follow the definitions above.
-from repro.kernels import sta as _sta_kernel  # noqa: E402

@@ -1,6 +1,6 @@
 """Independent certification of solver solutions and re-mapped floorplans.
 
-PR 4 made the solve path fast through aggressive reuse: structure-cached
+The solve path is fast through aggressive reuse: structure-cached
 lowerings, O(rows) RHS restamps, warm-started incumbents.  Nothing in that
 path is allowed to *judge itself* — a silent restamp bug would produce
 confidently wrong floorplans.  This module is the auditor: a deliberately
@@ -11,18 +11,15 @@ Two layers, kept independent of the code they audit:
 * :func:`certify_solution` re-evaluates every row of the **uncompiled**
   :class:`~repro.milp.model.Model` (the live ``Constraint`` objects, not
   the cached :class:`~repro.milp.model.CompiledModel` lowering) against a
-  backend :class:`~repro.milp.status.Solution`, with explicit absolute
-  and relative tolerances, plus variable bounds and integrality.  Under
-  ``REPRO_KERNELS=vector`` the row audit runs as one verify-owned CSR
-  mat-vec (:mod:`repro.kernels.certify`, lowered from the live
-  constraints — still zero shared code with the compiled cache);
-  ``REPRO_KERNELS=scalar`` keeps the row-by-row ordered sum.
+  backend :class:`~repro.milp.status.Solution` as a row-by-row ordered
+  sum, with explicit absolute and relative tolerances, plus variable
+  bounds and integrality.
 * :func:`certify_floorplan` re-derives the paper's domain invariants from
   first principles: per-PE stress re-accumulated with a plain dict loop
-  (not :func:`repro.aging.stress.compute_stress_map`'s vectorised path),
-  exactly-one-PE bindings and per-(context, PE) slot exclusivity, frozen
-  critical-path pinning, schedule preservation, and a fresh full-STA run
-  certifying CPD <= baseline.
+  (not :func:`repro.aging.stress.compute_stress_map`), exactly-one-PE
+  bindings and per-(context, PE) slot exclusivity, frozen critical-path
+  pinning, schedule preservation, and a fresh full-STA run certifying
+  CPD <= baseline.
 
 Failures are reported as :class:`Violation` records with a stable ``kind``
 taxonomy (see the ``KIND_*`` constants) so tests and callers can assert on
@@ -36,8 +33,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.errors import CertificationError
-from repro.kernels import certify as certify_kernel
-from repro.kernels import vectorized
 from repro.milp.expr import VarType
 from repro.obs import counter, event, get_logger
 
@@ -146,9 +141,8 @@ def _ordered_dot(terms: Mapping, resolved: Mapping) -> float:
     """Row activity as a sequential term-order sum.
 
     Deliberately *not* ``np.dot``: BLAS may reassociate the
-    accumulation, whereas a sequential sum in terms order is exactly
-    what the vectorized CSR mat-vec computes per row — keeping the
-    scalar and vectorized certification paths bit-identical.
+    accumulation, so a knife-edge row's verdict could depend on the
+    BLAS build.  Variables absent from ``resolved`` read as 0.
     """
     total = 0.0
     for var, coeff in terms.items():
@@ -167,11 +161,9 @@ def certify_solution(
 
     Walks the live :class:`~repro.milp.constraint.Constraint` objects and
     evaluates each row as an ordered sum over the solution values — a
-    second, independent lowering that shares nothing with the
+    second, independent evaluation that shares nothing with the
     structure-cached :meth:`~repro.milp.model.Model.compile` path it
-    audits (vectorized into one CSR mat-vec under
-    ``REPRO_KERNELS=vector``, bit-identical by construction).  Also
-    re-checks per-variable bounds and integrality.
+    audits.  Also re-checks per-variable bounds and integrality.
     """
     cert = Certificate()
     values = solution.values
@@ -218,32 +210,6 @@ def certify_solution(
     cert.checks.append(f"bounds+integrality over {len(model.variables)} variables")
 
     rows = model.row_metadata()
-    if vectorized():
-        # One verify-owned CSR mat-vec over all rows (repro.kernels.certify
-        # lowers the live constraints itself — independence from the
-        # compiled-cache path is preserved).  Bit-identical to the scalar
-        # loop below: the CSR stores each row in terms order and scipy's
-        # mat-vec accumulates it sequentially, exactly like _ordered_dot.
-        activities, excess, violated = certify_kernel.audit_rows(
-            model, resolved, abs_tol, rel_tol
-        )
-        for index in violated.tolist():
-            meta = rows[index]
-            cert.violations.append(
-                Violation(
-                    kind=KIND_ROW,
-                    subject=meta.name,
-                    detail=(
-                        f"row {meta.index}: activity {activities[index]:.9g} "
-                        f"{meta.sense} {meta.rhs:.9g} violated by "
-                        f"{excess[index]:.3g}"
-                    ),
-                    magnitude=float(excess[index]),
-                    tags=dict(meta.tags),
-                )
-            )
-        cert.checks.append(f"feasibility over {len(rows)} rows")
-        return cert
     for meta, constraint in zip(rows, model.constraints):
         activity = _ordered_dot(constraint.lhs.terms, resolved)
         rhs = meta.rhs

@@ -10,6 +10,7 @@ from repro.aging import StressMap, compute_stress_map, stress_summary
 from repro.arch import Fabric, Floorplan, OpKind, UnitKind
 from repro.errors import AgingError
 from repro.hls import MappedDesign, OpInfo
+from repro.obs import histogram
 
 
 def tiny_design():
@@ -49,6 +50,16 @@ class TestComputeStressMap:
         fp.bind(0, 0, 0)
         with pytest.raises(AgingError):
             compute_stress_map(design, fp)
+
+    def test_observes_stress_timer(self, fabric4):
+        design = tiny_design()
+        fp = Floorplan(fabric4, 2)
+        for op, pe in ((0, 0), (1, 1), (2, 2)):
+            fp.bind(op, design.ops[op].context, pe)
+        stress_seconds = histogram("kernels.stress.seconds")
+        before = stress_seconds.count
+        compute_stress_map(design, fp)
+        assert stress_seconds.count == before + 1
 
     def test_duty_cycles(self, fabric4):
         design = tiny_design()

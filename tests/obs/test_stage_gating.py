@@ -1,17 +1,9 @@
-"""Evaluation-stage breakdowns and the bench-compare stage gate."""
+"""Evaluation-stage breakdowns aggregated from a trace."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.cli import main
-from repro.obs.perf import (
-    BENCH_SCHEMA,
-    CompareThresholds,
-    compare_records,
-)
 from repro.obs.trace import EVALUATION_STAGES, summarize_records
 
 
@@ -42,7 +34,7 @@ def _trace_records():
         },
         {
             "type": "metric",
-            "name": "kernels.sta.cache_hits",
+            "name": "milp.lowerings",
             "kind": "counter",
             "value": 3,
         },
@@ -72,138 +64,9 @@ class TestTraceEvaluationStages:
 
     def test_kernel_metrics_filtered(self):
         summary = summarize_records(_trace_records())
-        assert set(summary.kernel_metrics()) == {
-            "kernels.sta.seconds",
-            "kernels.sta.cache_hits",
-        }
+        assert set(summary.kernel_metrics()) == {"kernels.sta.seconds"}
 
     def test_empty_trace_has_no_evaluation_rows(self):
         summary = summarize_records([_span("flow", 1.0, parent=None)])
         assert summary.evaluation_stages() == []
         assert summary.evaluation_table() == []
-
-
-def _entry(stage_s):
-    stages = {
-        "flow > phase1 > evaluate > stress": {
-            "count": 1, "total_s": stage_s / 2,
-        },
-        "flow > phase2 > evaluate > stress": {
-            "count": 1, "total_s": stage_s / 2,
-        },
-        "flow > phase2 > algorithm1 > sta": {"count": 1, "total_s": 0.001},
-        "flow > phase2 > algorithm1 > milp_restamp": {
-            "count": 1, "total_s": 5.0,  # not an evaluation stage
-        },
-    }
-    return {
-        "benchmark": "B1",
-        "fabric": "4x4",
-        "wall_s": 1.0,
-        "peak_mem_mb": 10.0,
-        "mttf_increase": 2.0,
-        "cpd_preserved": True,
-        "degradation": "none",
-        "stages": stages,
-        "solver": {"solves": 3, "nodes": 100, "max_mip_gap": 0.0},
-    }
-
-
-def _record(entry):
-    return {
-        "schema": 1,
-        "kind": "bench_record",
-        "bench_schema": BENCH_SCHEMA,
-        "timestamp": "20260101T000000",
-        "entries": {"B1": entry},
-    }
-
-
-class TestStageComparison:
-    def test_stage_blowup_lands_in_stage_regressions(self):
-        result = compare_records(
-            _record(_entry(0.1)), _record(_entry(0.5))
-        )
-        assert result.ok  # headline metrics untouched
-        metrics = [r.metric for r in result.stage_regressions]
-        assert metrics == ["stage.stress"]
-        assert result.stage_regressions[0].candidate == pytest.approx(0.5)
-
-    def test_paths_fold_by_leaf_before_comparison(self):
-        result = compare_records(_record(_entry(0.1)), _record(_entry(0.1)))
-        assert not result.stage_regressions
-        stress_rows = [r for r in result.stage_rows if r[1] == "stress"]
-        assert len(stress_rows) == 1  # both paths folded into one row
-        assert stress_rows[0][2] == pytest.approx(0.1)
-
-    def test_absolute_floor_suppresses_jitter(self):
-        # 3x relative blowup but only 20ms absolute: below stage_abs_s.
-        result = compare_records(
-            _record(_entry(0.01)), _record(_entry(0.03))
-        )
-        assert not result.stage_regressions
-
-    def test_improvements_never_regress(self):
-        result = compare_records(
-            _record(_entry(0.5)), _record(_entry(0.05))
-        )
-        assert not result.stage_regressions
-
-    def test_custom_stage_threshold(self):
-        th = CompareThresholds(stage_rel=5.0)
-        result = compare_records(
-            _record(_entry(0.1)), _record(_entry(0.5)), th
-        )
-        assert not result.stage_regressions
-
-    def test_non_evaluation_stages_not_gated(self):
-        base, cand = _entry(0.1), _entry(0.1)
-        cand["stages"]["flow > phase2 > algorithm1 > milp_restamp"] = {
-            "count": 1, "total_s": 50.0,
-        }
-        result = compare_records(_record(base), _record(cand))
-        assert not result.stage_regressions
-
-
-class TestGateStagesCli:
-    def _write(self, tmp_path, name, record):
-        path = tmp_path / name
-        path.write_text(json.dumps(record))
-        return path
-
-    @pytest.fixture
-    def regressed_pair(self, tmp_path):
-        base = self._write(tmp_path, "base.json", _record(_entry(0.1)))
-        cand = self._write(tmp_path, "cand.json", _record(_entry(0.5)))
-        return str(base), str(cand)
-
-    def test_ungated_stage_regression_exits_zero(self, regressed_pair, capsys):
-        base, cand = regressed_pair
-        assert main(["bench", "compare", base, cand]) == 0
-        assert "EVALUATION-STAGE REGRESSIONS" in capsys.readouterr().out
-
-    def test_gate_stages_fails(self, regressed_pair):
-        base, cand = regressed_pair
-        assert main(["bench", "compare", base, cand, "--gate-stages"]) == 3
-
-    def test_gate_stages_overrides_warn_only(self, regressed_pair):
-        base, cand = regressed_pair
-        code = main([
-            "bench", "compare", base, cand, "--gate-stages", "--warn-only",
-        ])
-        assert code == 3
-
-    def test_clean_pair_passes_under_gate(self, tmp_path, capsys):
-        base = self._write(tmp_path, "b.json", _record(_entry(0.1)))
-        cand = self._write(tmp_path, "c.json", _record(_entry(0.1)))
-        assert main([
-            "bench", "compare", str(base), str(cand), "--gate-stages",
-        ]) == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_stage_table_printed(self, regressed_pair, capsys):
-        base, cand = regressed_pair
-        main(["bench", "compare", base, cand])
-        out = capsys.readouterr().out
-        assert "evaluation stages" in out
-        assert "stress" in out

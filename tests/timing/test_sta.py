@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.arch import Fabric, Floorplan, OpKind, UnitKind
+from repro.errors import MappingError
 from repro.hls import MappedDesign, OpInfo
+from repro.obs import histogram
 from repro.timing import (
     TimingPath,
     all_critical_paths,
@@ -13,6 +15,7 @@ from repro.timing import (
     build_timing_graphs,
     critical_paths,
 )
+from repro.timing.sta import DELAY_EPS
 
 
 def make_design(num_ops, edges, num_contexts=1, contexts=None, delay=1.0):
@@ -44,6 +47,13 @@ class TestArrivalTimes:
         report = analyze(design, fp)
         # 3 PEs x 2ns + 2 wires x 1ns = 8
         assert report.cpd_ns == pytest.approx(8.0)
+
+    def test_unbound_op_raises(self):
+        design = make_design(2, [(0, 1)])
+        fp = Floorplan(unit_wire_fabric(), 1)
+        fp.bind(0, 0, 0)
+        with pytest.raises(MappingError, match="op 1 is not bound"):
+            analyze(design, fp)
 
     def test_register_inputs_cost_nothing(self):
         design = make_design(
@@ -194,3 +204,60 @@ class TestFig4WorkedExample:
         paths = all_critical_paths(design, fp)
         assert len(paths) == 1
         assert paths[0].chain == (3, 4, 5, 6, 7, 8)
+
+
+def independent_ops(delays):
+    """One context of unconnected ops: each op's completion is its delay."""
+    design = make_design(len(delays), [])
+    for op, delay in enumerate(delays):
+        design.ops[op] = OpInfo(op, OpKind.ADD, 32, 0, UnitKind.ALU, delay, delay)
+    fp = Floorplan(Fabric(6, 6, unit_wire_delay_ns=1.0), 1)
+    for op in design.ops:
+        fp.bind(op, 0, op)
+    return analyze(design, fp)
+
+
+class TestDelayEpsTies:
+    """The CPD scan visits ops in order: a completion more than DELAY_EPS
+    past the running CPD replaces the critical set, one within DELAY_EPS
+    of it joins the set.  Spacings of exactly DELAY_EPS sit on the guard
+    and pin the order-dependent outcome."""
+
+    def test_tie_within_eps_keeps_both_endpoints(self):
+        report = independent_ops([2.0, 2.0 + 0.5 * DELAY_EPS, 1.0])
+        assert report.per_context[0].critical_ops == [0, 1]
+        assert report.cpd_ns == 2.0
+
+    def test_late_small_riser_advances_cpd(self):
+        report = independent_ops([2.0, 2.0, 2.0 + 2 * DELAY_EPS])
+        assert report.per_context[0].critical_ops == [2]
+        assert report.cpd_ns == 2.0 + 2 * DELAY_EPS
+
+    def test_ascending_eps_spacing(self):
+        # 1+eps ties 1 (not past the guard), 1+2eps advances the CPD and
+        # 1+3eps ties it again, so the CPD stays at 1+2eps.
+        delays = [1.0 + k * DELAY_EPS for k in range(4)]
+        report = independent_ops(delays)
+        assert report.per_context[0].critical_ops == [2, 3]
+        assert report.cpd_ns == 1.0 + 2 * DELAY_EPS
+
+    def test_descending_eps_spacing(self):
+        # 1+2eps sits exactly DELAY_EPS below the CPD: outside the set.
+        delays = [1.0 + k * DELAY_EPS for k in (3, 2, 1, 0)]
+        report = independent_ops(delays)
+        assert report.per_context[0].critical_ops == [0]
+        assert report.cpd_ns == 1.0 + 3 * DELAY_EPS
+
+
+class TestStaTimer:
+    def test_analyze_observes_one_sta_timing_per_context(self):
+        design = make_design(
+            4, [(0, 1), (2, 3)], num_contexts=2, contexts={2: 1, 3: 1}
+        )
+        fp = Floorplan(unit_wire_fabric(), 2)
+        for op in range(4):
+            fp.bind(op, design.ops[op].context, op)
+        sta_seconds = histogram("kernels.sta.seconds")
+        before = sta_seconds.count
+        analyze(design, fp)
+        assert sta_seconds.count == before + design.num_contexts

@@ -65,6 +65,36 @@ class TestRowCertification:
         cert = certify_solution(model, _solution({x: 1.0}))
         assert KIND_MISSING_VALUE in cert.kinds()
 
+    def test_absent_value_reads_as_zero_in_row_audit(self):
+        model = Model("sparse")
+        x = model.add_continuous("x", lb=0.0, ub=4.0)
+        y = model.add_continuous("y", lb=0.0, ub=4.0)
+        model.add_constraint(x + y >= 1, name="need_one")
+        model.set_objective(x, minimize=True)
+        # y has no value: the row sees 2 + 0 >= 1 and holds...
+        cert = certify_solution(model, _solution({x: 2.0}))
+        assert cert.kinds() == {KIND_MISSING_VALUE}
+        # ...and 0.5 + 0 >= 1 fails by exactly 0.5.
+        cert = certify_solution(model, _solution({x: 0.5}))
+        assert cert.kinds() == {KIND_MISSING_VALUE, KIND_ROW}
+        (row,) = [v for v in cert.violations if v.kind == KIND_ROW]
+        assert row.subject == "need_one"
+        assert row.magnitude == 0.5
+
+    def test_restamp_flips_verdict(self):
+        model = Model("stamped")
+        x = model.add_continuous("x", lb=0.0, ub=10.0)
+        model.declare_parameter("cap", 5.0)
+        model.add_constraint(x <= 5.0, name="cap_row", parameter="cap")
+        model.set_objective(x, minimize=False)
+        solution = _solution({x: 4.0})
+        assert certify_solution(model, solution).ok
+        model.set_parameter("cap", 3.0)  # 4.0 now violates the row
+        cert = certify_solution(model, solution)
+        assert cert.kinds() == {KIND_ROW}
+        assert cert.violations[0].subject == "cap_row"
+        assert cert.violations[0].magnitude == pytest.approx(1.0)
+
     def test_raise_if_failed_carries_violations(self):
         model, x, y = _toy_model()
         cert = certify_solution(model, _solution({x: 1.0, y: 1.0}))

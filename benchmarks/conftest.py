@@ -66,7 +66,8 @@ def solver_extra_info(result) -> dict:
         "solver_nodes": alg1.total_nodes,
         "max_mip_gap": alg1.max_mip_gap,
         "st_relaxations": alg1.relaxations,
-        "bisection_steps": alg1.bisection_steps,
+        "floor_ns": alg1.floor_ns,
+        "floor_skips": alg1.floor_skips,
     }
 
 

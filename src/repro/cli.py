@@ -541,8 +541,9 @@ def cmd_trace_summarize(args) -> int:
                     f"[{run.get('st_low_ns', 0.0):.3f}, "
                     f"{run.get('st_up_ns', 0.0):.3f}]"
                 ),
-                "bisection steps": run.get("bisection_steps"),
-                "ILP bumps": run.get("ilp_bumps"),
+                "floor (ns)": run.get("floor_ns"),
+                "floor skips": run.get("floor_skips"),
+                "grid bumps (incl. floor skips)": run.get("ilp_bumps"),
                 "delta (ns)": run.get("delta_ns"),
                 "iterations": run.get("iterations"),
                 "relaxations": run.get("relaxations"),

@@ -2,8 +2,8 @@
 
 The outer loop of the paper:
 
-1. **Step 1** — delay-unaware binary search for the ST_target lower bound
-   (:mod:`repro.core.targets`);
+1. **Step 1** — delay-unaware Δ-scan for the ST_target lower bound, from
+   the integrality floor up (:mod:`repro.core.targets`);
 2. **Step 2.1** — critical-path constraint generation: freeze each
    context's critical paths, optionally rotating them among the 8 fabric
    symmetries to minimise overlap (:mod:`repro.core.rotation`);
@@ -130,7 +130,7 @@ class RemapResult:
     #: :data:`repro.resilience.DEGRADATION_LEVELS` ("none", "incumbent",
     #: "greedy", "original").
     degradation: str = "none"
-    #: Outer-loop convergence record: Step-1 binary-search effort, the
+    #: Outer-loop convergence record: Step-1 floor and bumps, the
     #: ST_target/Delta relaxation trajectory, per-iteration CPD verdicts
     #: and per-solve aggregates (also mirrored into ``stats["algorithm1"]``
     #: and the ``algorithm1.stats`` trace event).
@@ -279,7 +279,8 @@ def _run_algorithm1(
             delta_ns=config.delta_ns,
             backend=backend,
         )
-        alg1.bisection_steps = step1.bisection_steps
+        alg1.floor_ns = step1.floor_ns
+        alg1.floor_skips = step1.floor_skips
         alg1.ilp_bumps = step1.ilp_bumps
         _absorb_solve_stats(alg1, step1.stats)
         candidates = default_candidates(

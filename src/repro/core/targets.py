@@ -4,18 +4,22 @@ The accumulated-stress budget ``ST_target`` of Eq. (3) needs a starting
 value that lower-bounds any feasible delay-aware solution.  The paper
 obtains it by executing Eq. (3) **without** the critical-path and
 path-delay constraints — making it delay-unaware, hence optimistic — and
-binary-searching ``ST_target`` between
+looking for "the smallest value of ST_target that yields a valid (albeit
+delay-unaware) floorplan solution" between
 
 * ``ST_low`` — the *average* accumulated stress over all PEs of the
   original floorplan (no levelling can beat the average), and
 * ``ST_up``  — the *maximum* accumulated stress of the original floorplan
   (the original binding itself is feasible there).
 
-The bisection tests feasibility on the LP relaxation (cheap and optimistic,
-hence still a lower bound); the returned target is then verified with the
-paper's two-step LP->ILP solve and nudged up by ``delta`` until an integral
-delay-unaware floorplan exists — "the smallest value of ST_target that
-yields a valid (albeit delay-unaware) floorplan solution".
+The paper binary-searches that range.  Here the Δ grid
+``ST_low + k·Δ`` is scanned upwards with the paper's two-step LP->ILP
+solve instead, because the two-step verdict is not monotone in the
+target.  The scan starts at the integrality floor: every op sits whole on
+one PE, so no integral binding has a lower peak than the heaviest op's
+stress, and the grid points below it are skipped unsolved.  ``k`` keeps
+counting from ``ST_low``, so the target and ``ilp_bumps`` are those of a
+scan from ``k = 0``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from repro.core.remap import (
     RemapConfig,
     build_remap_model,
     default_candidates,
-    require_not_error,
     restamp_remap_model,
     solve_remap,
 )
@@ -42,6 +45,11 @@ from repro.obs import counter, get_logger, span
 
 _log = get_logger("core.targets")
 
+#: How far below the integrality floor the Δ-scan still solves: above the
+#: tolerances at which HiGHS (primal 1e-7, integrality 1e-6) or the greedy
+#: completion (1e-9) could accept the heaviest op on a PE, far below any Δ.
+FLOOR_MARGIN_NS = 1e-4
+
 
 @dataclass
 class StressTargetResult:
@@ -50,16 +58,20 @@ class StressTargetResult:
     st_target_ns: float
     st_low_ns: float
     st_up_ns: float
-    bisection_steps: int = 0
+    #: The integrality floor: the heaviest op's stress.
+    floor_ns: float = 0.0
+    #: Grid points below the floor, skipped without a solve.
+    floor_skips: int = 0
+    #: Δ grid points passed over from ``ST_low``, skipped ones included.
     ilp_bumps: int = 0
-    #: Every LP feasibility probe of the bisection, in order:
-    #: ``[{"st_target_ns": ..., "feasible": ...}, ...]``.
-    probes: list[dict] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
 
-def _empty_frozen() -> FrozenPlan:
-    return FrozenPlan(positions={}, orientation_of_context={})
+def integrality_floor_ns(design: MappedDesign) -> float:
+    """The largest ``stress_ns`` of any op: a lower bound on the peak
+    per-PE stress of every integral binding, and never above ``ST_up``,
+    since the original floorplan is itself integral."""
+    return max(op.stress_ns for op in design.ops.values())
 
 
 def stress_target_lower_bound(
@@ -69,27 +81,27 @@ def stress_target_lower_bound(
     original_stress: StressMap,
     config: RemapConfig | None = None,
     delta_ns: float | None = None,
-    tolerance_ns: float | None = None,
     backend: ScipyBackend | None = None,
 ) -> StressTargetResult:
-    """Binary-search the delay-unaware ST_target lower bound (Algorithm 1, line 2)."""
+    """Scan the delay-unaware ST_target lower bound (Algorithm 1, line 2)."""
     with span("binary_search") as search_span:
         result = _stress_target_lower_bound(
             design, fabric, original, original_stress, config,
-            delta_ns, tolerance_ns, backend,
+            delta_ns, backend,
         )
         search_span.set(
-            bisection_steps=result.bisection_steps,
+            floor_ns=result.floor_ns,
+            floor_skips=result.floor_skips,
             ilp_bumps=result.ilp_bumps,
             st_target_ns=result.st_target_ns,
         )
-    counter("algorithm1.bisection_steps").inc(result.bisection_steps)
-    counter("algorithm1.st_target_ilp_bumps").inc(result.ilp_bumps)
+    counter("algorithm1.st_target_floor_skips").inc(result.floor_skips)
+    counter("algorithm1.st_target_grid_bumps").inc(result.ilp_bumps)
     _log.debug(
         "ST_target lower bound %.3f ns in [%.3f, %.3f] "
-        "(%d bisection steps, %d ILP bumps)",
+        "(floor %.3f ns, %d of %d grid bumps skipped)",
         result.st_target_ns, result.st_low_ns, result.st_up_ns,
-        result.bisection_steps, result.ilp_bumps,
+        result.floor_ns, result.floor_skips, result.ilp_bumps,
     )
     return result
 
@@ -101,7 +113,6 @@ def _stress_target_lower_bound(
     original_stress: StressMap,
     config: RemapConfig | None = None,
     delta_ns: float | None = None,
-    tolerance_ns: float | None = None,
     backend: ScipyBackend | None = None,
 ) -> StressTargetResult:
     config = config or RemapConfig()
@@ -112,18 +123,24 @@ def _stress_target_lower_bound(
         raise ModelError("original floorplan carries no stress; nothing to level")
     if delta_ns is None:
         delta_ns = default_delta_ns(original_stress)
-    if tolerance_ns is None:
-        tolerance_ns = max(delta_ns / 2.0, 1e-3)
 
-    frozen = _empty_frozen()
+    floor = integrality_floor_ns(design)
+    bumps = 0
+    # A non-positive Δ never reaches the floor: scan it from ST_low.
+    while (
+        delta_ns > 0
+        and relaxed_target(st_low, delta_ns, bumps) < floor - FLOOR_MARGIN_NS
+    ):
+        bumps += 1
+    skips = bumps
+
+    frozen = FrozenPlan(positions={}, orientation_of_context={})
     candidates = default_candidates(
         design, original, frozen, fabric, config.resolved_window(fabric)
     )
-    probes: list[dict] = []
-
-    # One delay-unaware Eq. (3) model serves every bisection probe and
-    # every ILP bump: each target is an O(stress rows) re-stamp of the
-    # ``st_target`` parameter on the cached lowering, not a rebuild.
+    # One delay-unaware Eq. (3) model serves every bump: each target is an
+    # O(stress rows) re-stamp of the ``st_target`` parameter on the cached
+    # lowering, not a rebuild.
     model, variables, build_stats = build_remap_model(
         design,
         fabric,
@@ -135,40 +152,9 @@ def _stress_target_lower_bound(
         name="step1",
     )
 
-    def lp_feasible(target: float) -> bool:
-        with span("lp_probe", st_target_ns=target) as probe_span:
-            restamp_remap_model(model, target)
-            relaxation = model.relaxed()
-            solution = relaxation.solve(backend)
-            relaxation.restore_types()
-            # ERROR/UNBOUNDED is a solver failure, not infeasibility —
-            # raise so the ladder engages instead of biasing the bisection.
-            require_not_error(solution)
-            probe_span.set(feasible=solution.status.has_solution)
-        probes.append(
-            {"st_target_ns": target, "feasible": solution.status.has_solution}
-        )
-        return solution.status.has_solution
-
-    low, high = st_low, st_up
-    steps = 0
-    # The original binding is feasible at st_up, so `high` is always a
-    # certified-feasible upper end; `low` may or may not be feasible.
-    if lp_feasible(low):
-        high = low
-    else:
-        while high - low > tolerance_ns:
-            steps += 1
-            mid = (low + high) / 2.0
-            if lp_feasible(mid):
-                high = mid
-            else:
-                low = mid
-
-    # Verify integrality with the paper's two-step solve, nudging up by
-    # delta until a valid delay-unaware floorplan exists.
-    bumps = 0
-    target = relaxed_target(high, delta_ns, bumps)
+    # Find an integral delay-unaware floorplan with the paper's two-step
+    # solve, bumping by delta until one exists.
+    target = relaxed_target(st_low, delta_ns, bumps)
     stats: dict = {}
     while True:
         restamp_remap_model(model, target)
@@ -190,7 +176,7 @@ def _stress_target_lower_bound(
         if outcome.feasible:
             break
         bumps += 1
-        target = relaxed_target(high, delta_ns, bumps)
+        target = relaxed_target(st_low, delta_ns, bumps)
         if target > st_up + delta_ns:
             # The original binding is integral and feasible at st_up; use it.
             target = st_up
@@ -199,9 +185,9 @@ def _stress_target_lower_bound(
         st_target_ns=target,
         st_low_ns=st_low,
         st_up_ns=st_up,
-        bisection_steps=steps,
+        floor_ns=floor,
+        floor_skips=skips,
         ilp_bumps=bumps,
-        probes=probes,
         stats=stats,
     )
 

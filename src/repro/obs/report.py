@@ -250,7 +250,8 @@ def _trajectory_section(
                 f"{run.get('st_up_ns', 0.0):.4g}]"
             ),
             "Delta (ns)": run.get("delta_ns"),
-            "bisection steps": run.get("bisection_steps"),
+            "floor (ns)": run.get("floor_ns"),
+            "floor skips": run.get("floor_skips"),
             "iterations": run.get("iterations"),
             "relaxations": run.get("relaxations"),
             "lazy path rows": run.get("lazy_path_rows", 0),

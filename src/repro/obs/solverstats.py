@@ -11,8 +11,8 @@ that loop a flight recorder:
   attached to every :class:`~repro.milp.status.Solution` the backends
   return and mirrored into the ``solver`` span attributes so traces can
   be aggregated offline into a convergence table;
-* :class:`Algorithm1Stats` — the outer-loop record (Step 1 binary-search
-  effort, the ``ST_target``/``Delta`` relaxation trajectory, per-iteration
+* :class:`Algorithm1Stats` — the outer-loop record (Step 1's floor and
+  bumps, the ``ST_target``/``Delta`` relaxation trajectory, per-iteration
   CPD verdicts), attached to
   :class:`~repro.core.algorithm1.RemapResult` and emitted as an
   ``algorithm1.stats`` trace event;
@@ -238,10 +238,14 @@ class Algorithm1Stats:
     and offline trace analysis see the same relaxation history.
     """
 
-    #: Step 1 — delay-unaware binary search for the ST_target lower bound.
+    #: Step 1 — delay-unaware Δ-scan for the ST_target lower bound, from
+    #: the integrality floor (the heaviest op's stress) up.
     st_low_ns: float = 0.0
     st_up_ns: float = 0.0
-    bisection_steps: int = 0
+    floor_ns: float = 0.0
+    #: Grid points below the floor, skipped without a solve.
+    floor_skips: int = 0
+    #: Grid points passed over from ``st_low_ns``, skipped ones included.
     ilp_bumps: int = 0
     #: The relaxation stepsize Delta actually used.
     delta_ns: float = 0.0
@@ -310,7 +314,8 @@ class Algorithm1Stats:
         data: dict[str, Any] = {
             "st_low_ns": self.st_low_ns,
             "st_up_ns": self.st_up_ns,
-            "bisection_steps": self.bisection_steps,
+            "floor_ns": self.floor_ns,
+            "floor_skips": self.floor_skips,
             "ilp_bumps": self.ilp_bumps,
             "delta_ns": self.delta_ns,
             "iterations": self.iterations,

@@ -126,7 +126,7 @@ class PortfolioBackend:
 
     Implements the backend protocol (``solve(model, **options)``), so it
     drops into :func:`repro.core.algorithm1.run_algorithm1` and the
-    Step-1 bisection unchanged.  One instance carries its circuit
+    Step-1 Δ-scan unchanged.  One instance carries its circuit
     breakers and race log across every solve of a run, which is how
     breaker demotion persists across Algorithm 1 iterations.
     """

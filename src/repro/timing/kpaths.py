@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from repro.arch.context import Floorplan
 from repro.hls.allocate import MappedDesign
 from repro.obs import timer
-from repro.timing.graph import ContextTimingGraph, Endpoint, build_timing_graphs
-from repro.timing.sta import DELAY_EPS, TimingPath, TimingReport, analyze, _wire_ns
+from repro.timing.graph import ContextTimingGraph, build_timing_graphs
+from repro.timing.sta import DELAY_EPS, TimingPath, TimingReport, analyze, _wire_delays
 
 #: Default retention window: paths within 20% of the CPD (paper default).
 DEFAULT_RETENTION = 0.20
@@ -75,15 +75,12 @@ def _continuations(
     # perfbench's timing.busy_s reads this histogram name; keep it.
     with timer("kernels.kpaths.seconds"):
         succs = graph.intra_succs()
+        wire_ns = _wire_delays(graph, floorplan)
         cont: dict[int, float] = {}
         for op in reversed(graph.topological_ops()):
             best = 0.0
             for succ in succs[op]:
-                step = (
-                    _wire_ns(floorplan, Endpoint.op(op), Endpoint.op(succ))
-                    + graph.delay_of[succ]
-                    + cont[succ]
-                )
+                step = wire_ns[op, succ] + graph.delay_of[succ] + cont[succ]
                 best = max(best, step)
             cont[op] = best
     return cont
@@ -113,10 +110,7 @@ def enumerate_context_paths(
 
     # Per-edge wire delays depend only on the floorplan, so they are
     # computed once here rather than on every DFS expansion.
-    edge_ns = {
-        (src, dst): _wire_ns(floorplan, Endpoint.op(src), Endpoint.op(dst))
-        for src, dst in graph.intra_edges
-    }
+    edge_ns = _wire_delays(graph, floorplan)
 
     def dfs(chain: list[int], delay_so_far: float) -> None:
         nonlocal expansions, truncated

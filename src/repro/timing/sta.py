@@ -99,12 +99,19 @@ class TimingReport:
         return self.per_context[index]
 
 
-def _wire_ns(
-    floorplan: Floorplan, a: Endpoint, b: Endpoint
-) -> float:
-    pa, pb = a.position(floorplan), b.position(floorplan)
-    length = abs(pa[0] - pb[0]) + abs(pa[1] - pb[1])
-    return floorplan.fabric.wire_delay(length)
+def _wire_delays(
+    graph: ContextTimingGraph, floorplan: Floorplan
+) -> dict[tuple[int, int], float]:
+    """Wire delay of every intra-context edge, with one grid-position
+    lookup per wired op."""
+    wired = dict.fromkeys(op for edge in graph.intra_edges for op in edge)
+    at = {op: floorplan.position_of(op) for op in wired}
+    return {
+        (src, dst): floorplan.fabric.wire_delay(
+            abs(at[src][0] - at[dst][0]) + abs(at[src][1] - at[dst][1])
+        )
+        for src, dst in graph.intra_edges
+    }
 
 
 def analyze_context(
@@ -123,14 +130,11 @@ def analyze_context(
     with timer("kernels.sta.seconds"):
         arrival: dict[int, float] = {}
         preds = graph.intra_preds()
+        wire_ns = _wire_delays(graph, floorplan)
         for op in graph.topological_ops():
             start = 0.0
             for pred in preds[op]:
-                start = max(
-                    start,
-                    arrival[pred]
-                    + _wire_ns(floorplan, Endpoint.op(pred), Endpoint.op(op)),
-                )
+                start = max(start, arrival[pred] + wire_ns[pred, op])
             arrival[op] = start + graph.delay_of[op]
 
         cpd = 0.0
@@ -174,6 +178,7 @@ def critical_paths(
     """
     timing = timing or analyze_context(graph, floorplan)
     preds = graph.intra_preds()
+    wire_ns = _wire_delays(graph, floorplan)
     results: list[TimingPath] = []
 
     def backtrack(op: int, suffix: tuple[int, ...]) -> None:
@@ -186,9 +191,7 @@ def critical_paths(
             return
         tight_found = False
         for pred in preds[op]:
-            pred_arr = timing.arrival_ns[pred] + _wire_ns(
-                floorplan, Endpoint.op(pred), Endpoint.op(op)
-            )
+            pred_arr = timing.arrival_ns[pred] + wire_ns[pred, op]
             if abs(pred_arr - target) <= DELAY_EPS:
                 tight_found = True
                 backtrack(pred, chain)

@@ -161,6 +161,8 @@ class TestTraceAndProfile:
         assert "convergence (per solve)" in out
         assert "algorithm1:" in out
         assert "ST trajectory" in out
+        assert "floor skips" in out
+        assert "grid bumps (incl. floor skips)" in out
 
     def test_profile_writes_pstats_and_hotspots(
         self, kernel_file, tmp_path, capsys

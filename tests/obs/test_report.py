@@ -59,6 +59,7 @@ def record(small_design, small_floorplan):
             "st_target_ns": 3.2,
             "stats": {
                 "st_low_ns": 2.0, "st_up_ns": 4.0, "delta_ns": 0.2,
+                "floor_ns": 2.9, "floor_skips": 4,
                 "iterations": 2, "relaxations": 1,
                 "final_st_target_ns": 3.2, "solves": 4,
                 "st_trajectory": [3.0, 3.2],
@@ -172,6 +173,11 @@ class TestBuildReport:
         assert report.sections
         for section in report.sections:
             assert section.blocks, f"section {section.slug} is empty"
+
+    def test_trajectory_shows_step1_floor(self, record):
+        page = render_markdown(build_report(record))
+        assert "floor (ns)" in page
+        assert "floor skips" in page
 
     def test_stress_section_survives_malformed_record(self, record):
         broken = dict(record)

@@ -92,7 +92,7 @@ class TestRaceAudit:
             attrs = record["attrs"]
             assert attrs["winner"] == "highs"
             lanes = {row["lane"]: row for row in attrs["lanes"]}
-            # Bisection probes legitimately prove INFEASIBLE targets.
+            # Step-1 bumps legitimately prove INFEASIBLE targets.
             assert lanes["highs"]["verdict"] in ("won", "infeasible")
 
     def test_no_lane_rejections_or_breaker_events(self, raced):

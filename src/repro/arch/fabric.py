@@ -143,12 +143,10 @@ class Fabric:
         important for the candidate-windowing used on large fabrics.
         """
         o = self.pe(origin)
+        pes = self._pes
         return sorted(
             range(self.num_pes),
-            key=lambda k: (
-                abs(self.pe(k).row - o.row) + abs(self.pe(k).col - o.col),
-                k,
-            ),
+            key=lambda k: (abs(pes[k].row - o.row) + abs(pes[k].col - o.col), k),
         )
 
     # -- I/O pads ---------------------------------------------------------------

@@ -7,13 +7,7 @@ behaviour described in the paper's Phase 1.
 
 from repro.place.annealing import AnnealingConfig, ContextAnnealer, anneal_placement
 from repro.place.baseline import BaselinePlacer, BaselinePlacerConfig, place_baseline
-from repro.place.cost import (
-    PlacementCost,
-    bounding_box,
-    bounding_box_area,
-    edge_positions,
-    wirelength,
-)
+from repro.place.cost import bounding_box, bounding_box_area, wirelength
 from repro.place.greedy import greedy_place
 
 __all__ = [
@@ -21,11 +15,9 @@ __all__ = [
     "BaselinePlacer",
     "BaselinePlacerConfig",
     "ContextAnnealer",
-    "PlacementCost",
     "anneal_placement",
     "bounding_box",
     "bounding_box_area",
-    "edge_positions",
     "greedy_place",
     "place_baseline",
     "wirelength",

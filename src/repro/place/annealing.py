@@ -5,8 +5,12 @@ while keeping the aging-unaware character of the baseline: the cost keeps
 the bounding-box term, so solutions stay packed.
 
 Moves: relocate an op to a free PE, or swap two ops within the context.
-The evaluation is incremental — only wires incident to the moved ops are
-re-measured.
+Pricing a move is incremental.  Only wires incident to the moved ops are
+re-measured, against a cache of the context's op positions.  The bounding
+box comes from per-row and per-column counts of the context's ops: first
+to last occupied row times first to last occupied column, so a relocation
+costs O(rows + cols) however many ops the context holds.  A swap cannot
+move the box.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from repro.arch.context import Floorplan
 from repro.arch.fabric import Fabric
 from repro.hls.allocate import MappedDesign
 from repro.obs import counter, event, get_logger, span
-from repro.place.cost import bounding_box_area
 from repro.resilience.deadline import current_deadline
 from repro.resilience.faults import should_inject
 
@@ -70,6 +73,16 @@ class ContextAnnealer:
         self.fabric: Fabric = floorplan.fabric
         self.ops = [op.op_id for op in design.ops_in_context(context)]
         self._build_incidence()
+        fabric = self.fabric
+        #: Grid position of every PE, and of every op of this context.
+        self._coords = list(zip(fabric.row_of.tolist(), fabric.col_of.tolist()))
+        self._pos = {op: self._coords[floorplan.pe_of[op]] for op in self.ops}
+        #: How many of this context's ops sit in each row and column.
+        self._row_ops = [0] * fabric.rows
+        self._col_ops = [0] * fabric.cols
+        for row, col in self._pos.values():
+            self._row_ops[int(row)] += 1
+            self._col_ops[int(col)] += 1
 
     def _build_incidence(self) -> None:
         """Wires incident to each movable op, with fixed-or-movable endpoints.
@@ -107,15 +120,26 @@ class ContextAnnealer:
         total = 0.0
         for other, movable in self.incident[op_id]:
             if movable:
-                other_pos = self._pos_of(other)  # type: ignore[arg-type]
+                other_pos = self._pos[other]  # type: ignore[index]
             else:
                 other_pos = other  # type: ignore[assignment]
             total += abs(position[0] - other_pos[0]) + abs(position[1] - other_pos[1])
         return total
 
     def _bbox(self) -> float:
-        positions = [self._pos_of(op) for op in self.ops]
-        return bounding_box_area(positions) if positions else 0.0
+        """Bounding-box area of the context, from the occupancy counts."""
+        rows = [row for row, count in enumerate(self._row_ops) if count]
+        cols = [col for col, count in enumerate(self._col_ops) if count]
+        return (rows[-1] - rows[0] + 1.0) * (cols[-1] - cols[0] + 1.0)
+
+    def _move(self, op_id: int, pe_index: int) -> None:
+        """Point ``op_id``'s cached position and the counts at ``pe_index``."""
+        old_row, old_col = self._pos[op_id]
+        new_row, new_col = self._pos[op_id] = self._coords[pe_index]
+        self._row_ops[int(old_row)] -= 1
+        self._col_ops[int(old_col)] -= 1
+        self._row_ops[int(new_row)] += 1
+        self._col_ops[int(new_col)] += 1
 
     def run(self) -> tuple[int, int]:
         """Anneal this context in place; returns (proposed, accepted).
@@ -134,7 +158,7 @@ class ContextAnnealer:
         total_moves = config.moves_per_op * len(self.ops)
         steps_done = 0
         accepted_moves = 0
-        bbox_cached = self._bbox()
+        self._area = self._bbox()
         try:
             while steps_done < total_moves:
                 if deadline.expired:
@@ -148,12 +172,10 @@ class ContextAnnealer:
                     if steps_done > total_moves:
                         break
                     if free and self.rng.random() < 0.5:
-                        accepted = self._try_relocate(free, temperature, bbox_cached)
+                        accepted = self._try_relocate(free, temperature)
                     else:
                         accepted = self._try_swap(temperature)
-                    if accepted:
-                        accepted_moves += 1
-                        bbox_cached = self._bbox()
+                    accepted_moves += accepted
                 temperature = max(temperature * config.cooling, 1e-3)
         except _NonFiniteCost as exc:
             counter("anneal.nan_aborts").inc()
@@ -177,37 +199,36 @@ class ContextAnnealer:
             return True
         return self.rng.random() < math.exp(-delta / temperature)
 
-    def _try_relocate(
-        self, free: list[int], temperature: float, bbox_before: float
-    ) -> bool:
+    def _try_relocate(self, free: list[int], temperature: float) -> bool:
         op = self.rng.choice(self.ops)
         slot_index = self.rng.randrange(len(free))
         new_pe = free[slot_index]
         old_pe = self.floorplan.pe_of[op]
-        new_pos = (float(self.fabric.pe(new_pe).row), float(self.fabric.pe(new_pe).col))
-        old_cost = self._op_cost(op, self._pos_of(op))
-        new_cost = self._op_cost(op, new_pos)
+        old_cost = self._op_cost(op, self._pos[op])
+        new_cost = self._op_cost(op, self._coords[new_pe])
         # Bounding-box delta requires the tentative move.
         self.floorplan.rebind(op, new_pe)
-        bbox_after = self._bbox()
-        delta = (new_cost - old_cost) + self.config.bbox_weight * (
-            bbox_after - bbox_before
-        )
+        self._move(op, new_pe)
+        area = self._bbox()
+        delta = (new_cost - old_cost) + self.config.bbox_weight * (area - self._area)
         if self._metropolis(delta, temperature):
             free[slot_index] = old_pe
+            self._area = area
             return True
         self.floorplan.rebind(op, old_pe)
+        self._move(op, old_pe)
         return False
 
     def _try_swap(self, temperature: float) -> bool:
         op_a, op_b = self.rng.sample(self.ops, 2)
-        pos_a, pos_b = self._pos_of(op_a), self._pos_of(op_b)
+        pos_a, pos_b = self._pos[op_a], self._pos[op_b]
         old_cost = self._op_cost(op_a, pos_a) + self._op_cost(op_b, pos_b)
         new_cost = self._op_cost(op_a, pos_b) + self._op_cost(op_b, pos_a)
         # Swapping cannot change the bounding box.
         if not self._metropolis(new_cost - old_cost, temperature):
             return False
         self.floorplan.swap(op_a, op_b)
+        self._pos[op_a], self._pos[op_b] = pos_b, pos_a
         return True
 
 

@@ -1,18 +1,17 @@
-"""Placement cost functions: bounding box, wirelength, timing proxy.
+"""Placement cost terms: bounding box and Manhattan wirelength.
 
 The paper describes Musketeer's objective as "minimiz[ing] the bounding box
 area of the used PEs while meeting the specified timing constraints"
-(Phase 1).  These cost terms reproduce that objective; the important
-emergent behaviour is that *every context independently packs into the same
-compact corner region*, concentrating stress on the same PEs — the
-pathology the aging-aware re-mapper corrects.
+(Phase 1).  These terms measure that objective; the annealer prices its
+moves with the same formulas, incrementally.  The important emergent
+behaviour is that *every context independently packs into the same compact
+corner region*, concentrating stress on the same PEs — the pathology the
+aging-aware re-mapper corrects.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
-
-from repro.arch.fabric import Fabric
+from typing import Iterable, Sequence
 
 
 def bounding_box(positions: Iterable[tuple[float, float]]) -> tuple[float, float, float, float]:
@@ -47,42 +46,3 @@ def wirelength(
         abs(a[0] - b[0]) + abs(a[1] - b[1])
         for a, b in edges
     )
-
-
-def edge_positions(
-    edges: Sequence[tuple[int, int]],
-    position_of: Mapping[int, tuple[float, float]],
-) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """Resolve (src, dst) id pairs to coordinate pairs, skipping unplaced."""
-    resolved = []
-    for src, dst in edges:
-        if src in position_of and dst in position_of:
-            resolved.append((position_of[src], position_of[dst]))
-    return resolved
-
-
-class PlacementCost:
-    """Weighted aging-unaware placement cost.
-
-    ``cost = wl_weight * wirelength + bbox_weight * bounding_box_area``
-
-    Wirelength doubles as the timing proxy during annealing: with linear
-    buffered-wire delay, shrinking the longest wires and shrinking total
-    wirelength are strongly correlated.  A full STA pass validates CPD
-    after placement (see :mod:`repro.timing`).
-    """
-
-    def __init__(self, wl_weight: float = 1.0, bbox_weight: float = 2.0) -> None:
-        self.wl_weight = wl_weight
-        self.bbox_weight = bbox_weight
-
-    def evaluate(
-        self,
-        fabric: Fabric,
-        op_positions: Mapping[int, tuple[float, float]],
-        edges: Sequence[tuple[tuple[float, float], tuple[float, float]]],
-    ) -> float:
-        """Total cost of one context's placement."""
-        wl = wirelength(edges)
-        area = bounding_box_area(op_positions.values()) if op_positions else 0.0
-        return self.wl_weight * wl + self.bbox_weight * area

@@ -80,6 +80,10 @@ class TestGeometry:
         distances = [fabric.manhattan(origin, k) for k in ordered]
         assert distances == sorted(distances)
         assert len(ordered) == fabric.num_pes
+        # PEs at equal distance come in ascending index order: candidate
+        # windows cut this list, so the tie-break decides which PEs they hold.
+        keys = list(zip(distances, ordered))
+        assert keys == sorted(keys)
 
     def test_center(self):
         assert Fabric(4, 4).center() == (1.5, 1.5)

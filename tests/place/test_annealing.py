@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from repro.arch import Fabric
-from repro.place import AnnealingConfig, anneal_placement, greedy_place
+from repro.benchgen import load_benchmark
+from repro.place import (
+    AnnealingConfig,
+    ContextAnnealer,
+    anneal_placement,
+    bounding_box_area,
+    greedy_place,
+)
 from repro.place.cost import wirelength
+from repro.resilience.faults import fault_scope
 
 
 def total_wirelength(design, floorplan):
@@ -73,3 +85,108 @@ class TestAnnealing:
         pe_before = floorplan.pe_of[0]
         anneal_placement(design, floorplan)
         assert floorplan.pe_of[0] == pe_before
+
+
+@pytest.fixture(scope="module")
+def canonical():
+    """(design, fabric) of a canonical Table I entry, synthesised once."""
+    loaded = {}
+
+    def load(name):
+        if name not in loaded:
+            loaded[name] = load_benchmark(name)
+        return loaded[name]
+
+    return load
+
+
+def floorplan_digest(floorplan):
+    text = json.dumps(sorted(floorplan.pe_of.items()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestPinnedOutput:
+    """Annealed floorplans of canonical Table I entries, default config.
+
+    The digests pin the whole move sequence: the RNG draws, the move mix,
+    the Metropolis rule and the cost of every move.  A faster annealer
+    must reproduce them bit for bit.
+    """
+
+    @pytest.mark.parametrize(
+        ("name", "faults", "expected"),
+        [
+            ("B1", None, "20f5d9651751fa57"),
+            ("B5", None, "c66068b9cdd98848"),
+            ("B3", None, "495b9d97dbd3899e"),
+            # A non-finite move cost aborts a context mid-run.  B1's abort
+            # hits a relocation after its tentative rebind, which the
+            # floorplan keeps; B3's hits a swap.
+            ("B1", "annealing_nan@77", "b4d83fba81b17e6c"),
+            ("B3", "annealing_nan@77", "d6bc79c7efa3e156"),
+        ],
+    )
+    def test_digest(self, canonical, name, faults, expected):
+        design, fabric = canonical(name)
+        floorplan = greedy_place(design, fabric)
+        with fault_scope(faults or ""):
+            anneal_placement(design, floorplan)
+        assert floorplan_digest(floorplan) == expected
+
+
+class CheckedAnnealer(ContextAnnealer):
+    """Checks the annealer's caches against the floorplan after each proposal."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.checks = 0
+        self.priced = set()  # every box a relocation was priced with
+        self.kept = set()  # every box the placement had after a proposal
+
+    def _bbox(self):
+        area = super()._bbox()
+        self.priced.add(area)
+        return area
+
+    def _try_relocate(self, free, temperature):
+        accepted = super()._try_relocate(free, temperature)
+        self.check()
+        return accepted
+
+    def _try_swap(self, temperature):
+        accepted = super()._try_swap(temperature)
+        self.check()
+        return accepted
+
+    def check(self):
+        positions = [self.floorplan.position_of(op) for op in self.ops]
+        area = bounding_box_area(positions)
+        assert self._bbox() == area
+        assert self._area == area
+        assert [self._pos[op] for op in self.ops] == positions
+        self.checks += 1
+        self.kept.add(area)
+
+
+class TestBookkeeping:
+    def test_caches_track_the_floorplan(self, canonical):
+        # B3 on 16x16, context by context as anneal_placement runs it.
+        # Its 184-op context prices relocations into empty edge rows and
+        # columns, whose reverts empty them again; its small contexts
+        # accept moves that grow and shrink the box.
+        design, fabric = canonical("B3")
+        floorplan = greedy_place(design, fabric)
+        config = AnnealingConfig()
+        rng = random.Random(config.seed)
+        annealers = []
+        for context in range(design.num_contexts):
+            annealer = CheckedAnnealer(design, floorplan, context, config, rng)
+            proposed, _ = annealer.run()
+            assert annealer.checks == proposed
+            annealers.append(annealer)
+        # The checks watched the real run: same floorplan as unchecked.
+        assert floorplan_digest(floorplan) == "495b9d97dbd3899e"
+        largest = max(annealers, key=lambda annealer: len(annealer.ops))
+        assert len(largest.ops) == 184
+        assert len(largest.priced) > len(largest.kept) == 1
+        assert any(len(annealer.kept) > 1 for annealer in annealers)

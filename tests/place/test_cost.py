@@ -2,17 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.arch import Fabric
-from repro.place import (
-    PlacementCost,
-    bounding_box,
-    bounding_box_area,
-    edge_positions,
-    wirelength,
-)
+from repro.place import bounding_box, bounding_box_area, wirelength
 
 
 class TestBoundingBox:
@@ -38,25 +30,6 @@ class TestWirelength:
     def test_manhattan_sum(self):
         edges = [((0, 0), (1, 2)), ((2, 2), (0, 0))]
         assert wirelength(edges) == 3 + 4
-
-    def test_edge_positions_skips_unplaced(self):
-        positions = {0: (0.0, 0.0), 1: (1.0, 1.0)}
-        resolved = edge_positions([(0, 1), (0, 9)], positions)
-        assert len(resolved) == 1
-
-
-class TestPlacementCost:
-    def test_weighted_combination(self):
-        fabric = Fabric(4, 4)
-        cost = PlacementCost(wl_weight=1.0, bbox_weight=2.0)
-        positions = {0: (0.0, 0.0), 1: (0.0, 1.0)}
-        edges = [((0.0, 0.0), (0.0, 1.0))]
-        # wl = 1, bbox = 1x2 = 2 -> 1 + 4
-        assert cost.evaluate(fabric, positions, edges) == pytest.approx(5.0)
-
-    def test_empty_design_costs_nothing(self):
-        fabric = Fabric(2, 2)
-        assert PlacementCost().evaluate(fabric, {}, []) == 0.0
 
 
 points = st.tuples(

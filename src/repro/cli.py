@@ -140,28 +140,12 @@ def _metrics_rows() -> list[list[object]]:
     return rows
 
 
-def _remap_config(args) -> RemapConfig:
-    """Build the solver config from shared CLI flags (incl. portfolio)."""
-    kwargs: dict = {"time_limit_s": args.time_limit}
-    if getattr(args, "portfolio", False):
-        kwargs["portfolio"] = True
-    lanes = getattr(args, "lanes", None)
-    if lanes:
-        kwargs["lanes"] = tuple(
-            name.strip() for name in lanes.split(",") if name.strip()
-        )
-    hedge_delay = getattr(args, "hedge_delay", None)
-    if hedge_delay is not None:
-        kwargs["hedge_delay_s"] = hedge_delay
-    return RemapConfig(**kwargs)
-
-
 def _flow_config(args) -> FlowConfig:
     return FlowConfig(
         algorithm1=Algorithm1Config(
             mode=args.mode,
             certify=not getattr(args, "no_certify", False),
-            remap=_remap_config(args),
+            remap=RemapConfig(time_limit_s=args.time_limit),
         )
     )
 
@@ -200,7 +184,7 @@ def cmd_remap(args) -> int:
     config = Algorithm1Config(
         mode=args.mode,
         certify=not args.no_certify,
-        remap=_remap_config(args),
+        remap=RemapConfig(time_limit_s=args.time_limit),
     )
     result = run_algorithm1(
         design, original.fabric, original, config, deadline=_deadline_of(args)
@@ -558,14 +542,6 @@ def cmd_trace_summarize(args) -> int:
                 "cert cold rebuilds": run.get("cert_cold_rebuilds"),
             }
         ))
-    if summary.races:
-        print("\nportfolio races (per lane)")
-        print("--------------------------")
-        print(format_table(
-            ["model", "winner", "lane", "verdict", "start_s", "wall_s",
-             "cancelled_s"],
-            summary.race_table(),
-        ))
     if summary.explains:
         print("\nexplanations (why iterations were rejected / the run ended)")
         print("-" * 58)
@@ -720,25 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
         "solutions (on by default; see docs/robustness.md)",
     )
 
-    # Solver-portfolio racing, shared by the Algorithm-1-running commands.
-    portfolio_flags = argparse.ArgumentParser(add_help=False)
-    portfolio_flags.add_argument(
-        "--portfolio", action="store_true",
-        help="race solver lanes on every MILP solve and accept the first "
-        "independently certified answer; crashed/hung/lying lanes are "
-        "struck and demoted by circuit breakers (docs/robustness.md)",
-    )
-    portfolio_flags.add_argument(
-        "--lanes", default=None, metavar="LANE[,LANE...]",
-        help="lane order when racing (default: highs,branch-bound,prober); "
-        "the first breaker-healthy lane leads",
-    )
-    portfolio_flags.add_argument(
-        "--hedge-delay", type=float, default=None, metavar="SECONDS",
-        help="backup lanes start this long after the leader (default: 1.5s; "
-        "released early when every started lane has failed)",
-    )
-
     p = sub.add_parser("compile", help="mini-C -> mapped design JSON")
     p.add_argument("source")
     p.add_argument("-o", "--output", default="design.json")
@@ -753,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "remap", help="aging-aware re-mapping (Algorithm 1)",
-        parents=[obs_flags, cert_flags, portfolio_flags],
+        parents=[obs_flags, cert_flags],
     )
     p.add_argument("design")
     p.add_argument("floorplan")
@@ -769,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "flow", help="full Phase 1 + Phase 2 on a kernel",
-        parents=[obs_flags, cert_flags, portfolio_flags],
+        parents=[obs_flags, cert_flags],
     )
     p.add_argument("source")
     p.add_argument("--fabric", default="4x4")

@@ -106,7 +106,7 @@ class Algorithm1Config:
     #: row-by-row feasibility against the uncompiled model plus
     #: first-principles stress/slot/frozen/CPD re-checks.  A failure
     #: triggers one cold-rebuild re-solve (catching silent restamp or
-    #: warm-start corruption) before the degradation ladder engages.
+    #: warm-fixing corruption) before the degradation ladder engages.
     certify: bool = True
 
 
@@ -289,8 +289,8 @@ def _run_algorithm1(
         st_base = st_target = step1.st_target_ns
         relaxed = 0  # Delta-relaxations; a row round re-solves at the same count
         # The Eq. (3) model is assembled once and re-stamped with each
-        # relaxed ST_target; warm hints (previous pre-mapping/solution)
-        # ride along between iterations of the same model.
+        # relaxed ST_target; the warm hint (the previous pre-mapping)
+        # rides along between iterations of the same model.
         warm: WarmStart | None = None
         # Violated paths added as lazy rows, per adding iteration: a cold
         # rebuild of the model re-adds them.
@@ -415,12 +415,6 @@ def _run_algorithm1(
             st_up_ns=original_stress.max_accumulated_ns,
             stats={"skipped": "degraded before Step 1 completed"},
         )
-    snapshot = getattr(backend, "portfolio_snapshot", None)
-    if snapshot is not None:
-        # Racing backend: persist breaker states, per-lane win counts and
-        # the race log onto the run's stats, so demotions survive into
-        # saved records and `repro explain`.
-        alg1.portfolio = snapshot()
     alg1.final_st_target_ns = st_target
     event(
         "algorithm1.stats",
@@ -630,7 +624,7 @@ def _run_iteration(
     The Eq. (3) model is built on the first call and threaded back in by
     the caller afterwards: later iterations only re-stamp the ``st_target``
     RHS parameter on the cached lowering (:func:`restamp_remap_model`).
-    ``warm`` carries the previous iteration's hints (see
+    ``warm`` carries the previous iteration's pre-mapping (see
     :class:`~repro.core.remap.WarmStart`); the caller stamps its ``reason``
     with the iteration verdict before passing it back.
 
@@ -756,9 +750,9 @@ def _certify_accepted(
 
     The floorplan (and, when a backend solution exists, the solution
     itself) is re-checked by :mod:`repro.verify` — an independent code
-    path sharing nothing with the incremental compile/restamp/warm-start
+    path sharing nothing with the incremental compile/restamp/warm-fixing
     machinery.  On failure, the Eq. (3) model is rebuilt **cold** (fresh
-    lowering, no warm start, the lazy path rows re-added) and re-solved
+    lowering, no warm fixing, the lazy path rows re-added) and re-solved
     once: if the cold result certifies, the stale model state was corrupt
     and the cold model replaces it for the remaining iterations.  If even
     the cold path fails, a :class:`CertificationError` propagates to the

@@ -78,33 +78,8 @@ class RemapConfig:
     #: at or below it, the unfixed residual-ILP retry may run.
     greedy_threshold: int = 6000
     seed: int = 2020
-    #: Race solver lanes per solve instead of betting on one backend
-    #: (:class:`repro.portfolio.PortfolioBackend`).  The first answer to
-    #: pass independent certification wins; losers are cancelled.
-    portfolio: bool = False
-    #: Lane order when racing; the first healthy lane leads.
-    lanes: tuple[str, ...] = ("highs", "branch-bound", "prober")
-    #: Backup lanes start this many seconds after the leader (released
-    #: early when every started lane has failed).  On models the leader
-    #: finishes inside this window, backups never start — which is what
-    #: keeps a healthy portfolio run bit-identical to a serial one.
-    hedge_delay_s: float = 1.5
-    #: Per-lane wall-clock budget; None caps lanes only by the flow
-    #: deadline (and the solver's own ``time_limit_s``).
-    lane_timeout_s: float | None = None
 
     def make_backend(self):
-        if self.portfolio:
-            # Imported lazily: repro.portfolio pulls in both backends,
-            # and the serial path must not pay for that.
-            from repro.portfolio import PortfolioBackend
-
-            return PortfolioBackend(
-                lanes=tuple(self.lanes),
-                time_limit=self.time_limit_s,
-                hedge_delay_s=self.hedge_delay_s,
-                lane_timeout_s=self.lane_timeout_s,
-            )
         return ScipyBackend(time_limit=self.time_limit_s)
 
     def resolved_window(self, fabric: Fabric) -> int | None:
@@ -115,19 +90,18 @@ class RemapConfig:
 
 @dataclass
 class WarmStart:
-    """Incumbent hints carried across Algorithm 1's relaxation iterations.
+    """The pre-mapping hint carried across Algorithm 1's relax iterations.
 
     ``fixing`` is the LP→ILP pre-mapped binding of the previous solve
-    (op → PE of every fixed one-hot group); ``values`` the previous
-    solution's variable values, valid across iterations because the model
-    — and therefore its ``Variable`` objects — is reused; ``reason`` the
-    verdict of the iteration that produced the hint (hints are only
-    *acted* on after an ``"infeasible"`` verdict: re-using the binding of
-    a CPD-violating solve would just reproduce the violation).
+    (op → PE of every fixed one-hot group), valid across iterations
+    because the model — and therefore its ``Variable`` objects — is
+    reused; ``reason`` the verdict of the iteration that produced the
+    hint (the hint is only *acted* on after an ``"infeasible"`` verdict:
+    re-using the binding of a CPD-violating solve would just reproduce
+    the violation).
     """
 
     fixing: dict[int, int] = field(default_factory=dict)
-    values: Mapping | None = None
     reason: str = ""
 
 
@@ -482,14 +456,14 @@ def solve_remap(
     ``greedy_context`` enables the LP-guided greedy completion on large
     models (see :class:`GreedyContext`); without it the residual is always
     solved as an ILP, exactly as in the paper.  ``warm`` carries the
-    previous iteration's hints when the same model is re-solved after an
-    ``ST_target`` re-stamp (see :class:`WarmStart`).  ``retry_unfixed``
-    enables the two-step unfixed retry (Algorithm 1's relax loop; Step 1
-    keeps the cold pipeline).
+    previous iteration's pre-mapping when the same model is re-solved
+    after an ``ST_target`` re-stamp (see :class:`WarmStart`).
+    ``retry_unfixed`` enables the two-step unfixed retry (Algorithm 1's
+    relax loop; Step 1 keeps the cold pipeline).
     """
     backend = backend or config.make_backend()
     if config.strategy == "monolithic":
-        return _solve_monolithic(model, variables, backend, warm)
+        return _solve_monolithic(model, variables, backend)
     if config.strategy == "two-step":
         return _solve_two_step(
             model, variables, config, backend, greedy_context, warm,
@@ -532,15 +506,9 @@ def _solve_monolithic(
     model: Model,
     variables: RemapVariables,
     backend: ScipyBackend,
-    warm: "WarmStart | None" = None,
 ) -> RemapOutcome:
-    options: dict = {}
-    if warm is not None and warm.reason == "infeasible" and warm.values:
-        # The previous solution of this (re-stamped) model seeds the
-        # solver's incumbent where the backend supports it.
-        options["warm_start"] = warm.values
     with span("milp_solve", strategy="monolithic") as solve_span:
-        solution = model.solve(backend, **options)
+        solution = model.solve(backend)
         elapsed = solve_span.duration_s
         solve_span.set(status=solution.status.value)
         require_not_error(solution)
@@ -555,7 +523,6 @@ def _solve_monolithic(
         feasible=True,
         assignment=_extract(variables, solution),
         stats=stats,
-        warm=WarmStart(values=dict(solution.values)),
         solution=solution,
     )
 
@@ -601,7 +568,7 @@ def _solve_two_step(
             and _apply_fixing(model, variables, warm.fixing)
         ):
             with span("ilp_warm_fixing", groups_fixed=len(warm.fixing)):
-                trial = model.solve(backend, warm_start=warm.values)
+                trial = model.solve(backend)
             stats["warm_fixing"] = len(warm.fixing)
             stats["ilp_s"] = trial.solve_seconds
             stats["ilp_status"] = trial.status.value
@@ -614,9 +581,7 @@ def _solve_two_step(
                     feasible=True,
                     assignment=_extract(variables, trial),
                     stats=stats,
-                    warm=WarmStart(
-                        fixing=dict(warm.fixing), values=dict(trial.values)
-                    ),
+                    warm=WarmStart(fixing=dict(warm.fixing)),
                     solution=trial,
                 )
             # Miss (still infeasible, or a solver limit): reopen the fixes
@@ -723,7 +688,7 @@ def _solve_two_step(
         feasible=True,
         assignment=_extract(variables, ilp_solution),
         stats=stats,
-        warm=WarmStart(fixing=binding, values=dict(ilp_solution.values)),
+        warm=WarmStart(fixing=binding),
         solution=ilp_solution,
     )
 

@@ -21,17 +21,6 @@ class SolverError(ReproError):
     """A solver backend failed in a way that is not simply 'infeasible'."""
 
 
-class WarmStartError(ModelError):
-    """A warm-start hint is malformed (non-finite values, wrong length).
-
-    Distinct from a merely *stale* hint — a well-formed hint that no
-    longer satisfies the model validates to ``None`` and the caller falls
-    back to a cold solve.  A malformed hint is a programming error at the
-    call site and must not be silently dropped, let alone passed through
-    to a backend.
-    """
-
-
 class BudgetInfeasibleError(ModelError):
     """A stress budget is violated by frozen ops alone.
 

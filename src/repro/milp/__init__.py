@@ -14,7 +14,7 @@ capability on open components:
 from repro.milp.branch_bound import BranchBoundBackend
 from repro.milp.constraint import Constraint, Sense
 from repro.milp.expr import LinExpr, Variable, VarType, linear_sum
-from repro.milp.model import CompiledModel, MatrixForm, Model, hint_vector
+from repro.milp.model import CompiledModel, MatrixForm, Model
 from repro.milp.rounding import (
     DEFAULT_FIX_THRESHOLD,
     RoundingReport,
@@ -41,7 +41,6 @@ __all__ = [
     "VarType",
     "Variable",
     "extract_assignment",
-    "hint_vector",
     "linear_sum",
     "randomized_round",
     "threshold_fix",

@@ -30,7 +30,7 @@ from scipy.optimize import linprog
 
 from repro.errors import SolverError
 from repro.explain import explain_enabled
-from repro.milp.model import MatrixForm, Model, hint_vector
+from repro.milp.model import MatrixForm, Model
 from repro.milp.scipy_backend import attach_attribution
 from repro.milp.status import Solution, SolveStatus
 from repro.obs import counter, get_logger, span
@@ -40,7 +40,6 @@ from repro.obs.solverstats import (
     progress_enabled,
     relative_gap,
 )
-from repro.portfolio.cancel import current_cancel_token
 from repro.resilience.deadline import current_deadline
 from repro.resilience.faults import inject_solver_fault
 
@@ -107,14 +106,7 @@ class BranchBoundBackend:
 
     # -- main loop --------------------------------------------------------------
     def solve(self, model: Model, **options) -> Solution:
-        """Solve ``model`` to proven optimality (subject to node/time limits).
-
-        ``options["warm_start"]`` may carry an incumbent hint (a
-        ``{Variable: value}`` mapping): when it validates against the
-        model, it seeds the incumbent and upper bound before the first
-        node, so bound-based pruning engages from node 1 instead of after
-        the first integral leaf is found.
-        """
+        """Solve ``model`` to proven optimality (subject to node/time limits)."""
         stats = SolveStats(backend="branch_bound", kind="milp")
         with span(
             "solver", backend="branch_bound", kind="milp", model=model.name
@@ -175,36 +167,12 @@ class BranchBoundBackend:
         ]
         best_obj = math.inf
         best_x: np.ndarray | None = None
-        hint = options.get("warm_start")
-        if hint:
-            x0 = hint_vector(form, hint)
-            if x0 is None:
-                counter("milp.warm_start_misses").inc()
-            else:
-                # Seed the incumbent: every node whose relaxation bound
-                # cannot beat the hint is pruned without branching.
-                best_obj = float(form.objective @ x0)
-                best_x = x0
-                stats.warm_started = True
-                stats.hint_objective = best_obj
-                stats.sample(solver_span.duration_s, 0, best_obj, root_bound)
-                counter("milp.warm_start_hits").inc()
         #: Tightest dual bound proven so far: the minimum over open nodes.
         global_bound = root_bound
         proven = True
-        token = current_cancel_token()
 
         try:
             while heap:
-                if token.cancelled:
-                    # Cooperative cancellation (a portfolio race was
-                    # decided elsewhere): wind down with the incumbent so
-                    # the loser's partial stats survive into the race
-                    # record.  Checked every node expansion — one node LP
-                    # bounds the cancellation latency.
-                    proven = False
-                    stats.limit_reason = "cancelled"
-                    break
                 if stats.nodes >= max_nodes:
                     proven = False
                     stats.limit_reason = "node_limit"

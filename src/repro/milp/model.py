@@ -32,15 +32,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from repro.errors import ModelError, WarmStartError
+from repro.errors import ModelError
 from repro.milp.constraint import Constraint, Sense
 from repro.milp.expr import LinExpr, Variable, VarType
 from repro.milp.status import Solution
 from repro.obs import counter
-
-#: Tolerance used when validating a warm-start hint against a model.
-HINT_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class RowMeta:
@@ -140,62 +136,6 @@ class MatrixForm:
                 b_eq = self.rhs[eq]
             self._ub_eq = (a_ub, b_ub, a_eq, b_eq)
         return self._ub_eq
-
-
-def hint_vector(
-    form: MatrixForm, values, tol: float = HINT_TOL
-) -> np.ndarray | None:
-    """Validate a warm-start hint against ``form``.
-
-    ``values`` is either a ``{Variable: value}`` mapping or an
-    already-dense sequence in ``form.variables`` order.  Returns the dense
-    solution vector (discrete entries snapped to integers) when the hint
-    covers every column and satisfies bounds, integrality and all row
-    constraints within ``tol``; ``None`` when the hint is *stale* or
-    infeasible — callers then fall back to a cold solve.
-
-    A *malformed* hint — non-finite entries (NaN/inf), or a dense hint of
-    the wrong length — raises :class:`~repro.errors.WarmStartError`
-    instead: NaN compares false against every bound, so without the
-    explicit check a poisoned hint would sail through validation and
-    reach the backends.
-    """
-    n = len(form.variables)
-    if isinstance(values, Mapping):
-        x = np.empty(n, dtype=float)
-        for i, var in enumerate(form.variables):
-            value = values.get(var)
-            if value is None:
-                return None
-            x[i] = value
-    else:
-        x = np.asarray(values, dtype=float).ravel()
-        if x.shape[0] != n:
-            raise WarmStartError(
-                f"warm-start hint has {x.shape[0]} entries; model has "
-                f"{n} variables"
-            )
-        x = x.copy()
-    if not np.all(np.isfinite(x)):
-        bad = int(np.flatnonzero(~np.isfinite(x))[0])
-        raise WarmStartError(
-            f"warm-start hint contains non-finite value {x[bad]!r} for "
-            f"variable {form.variables[bad].name!r}"
-        )
-    discrete = np.flatnonzero(form.integrality)
-    if discrete.size:
-        snapped = np.round(x[discrete])
-        if np.max(np.abs(x[discrete] - snapped), initial=0.0) > 1e-4:
-            return None
-        x[discrete] = snapped
-    if np.any(x < form.lower - tol) or np.any(x > form.upper + tol):
-        return None
-    if form.a_matrix.shape[0]:
-        activity = form.a_matrix @ x
-        lower, upper = form.row_bounds()
-        if np.any(activity < lower - tol) or np.any(activity > upper + tol):
-            return None
-    return x
 
 
 class CompiledModel:

@@ -12,11 +12,10 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.errors import SolverError
 from repro.explain import attribute_solution, explain_enabled
-from repro.milp.model import Model, hint_vector
+from repro.milp.model import Model
 from repro.milp.status import Solution, SolveStatus
 from repro.obs import counter, get_logger, histogram, span
 from repro.obs.solverstats import SolveStats, progress_enabled
-from repro.portfolio.cancel import current_cancel_token
 from repro.resilience.deadline import current_deadline
 from repro.resilience.faults import inject_solver_fault
 
@@ -64,26 +63,9 @@ class ScipyBackend:
         The current :class:`~repro.resilience.Deadline` is honoured: an
         already-expired budget raises before HiGHS is entered, and the
         solver time limit is capped to the remaining budget.
-
-        ``options["warm_start"]`` may carry an incumbent hint (a
-        ``{Variable: value}`` mapping, e.g. a previous iteration's
-        solution).  HiGHS's scipy entry point has no MIP-start API, so the
-        hint cannot seed the search itself; it is validated and recorded
-        on :class:`SolveStats` (``warm_started``/``hint_objective``), and
-        for pure *feasibility* models (the paper's ``ObjFunc: Null``) a
-        still-feasible hint is returned directly without invoking HiGHS.
         """
         deadline = current_deadline()
         deadline.check(f"milp_solve:{model.name}")
-        if current_cancel_token().cancelled:
-            # A portfolio race was decided before this lane entered the
-            # solver; HiGHS itself cannot be interrupted mid-solve, so
-            # the entry boundary is this backend's cancellation point.
-            return Solution(
-                status=SolveStatus.ERROR,
-                message="cancelled before solve",
-                stats=SolveStats(backend="highs", limit_reason="cancelled"),
-            )
         injected = inject_solver_fault(model.name)
         if injected is not None:
             injected.stats = SolveStats(
@@ -122,39 +104,6 @@ class ScipyBackend:
             return self._solve_lp(form, time_limit, model.name, metas=metas)
 
         stats = SolveStats(backend="highs", kind="milp")
-        hint = options.get("warm_start")
-        if hint:
-            x0 = hint_vector(form, hint)
-            if x0 is None:
-                counter("milp.warm_start_misses").inc()
-            else:
-                stats.warm_started = True
-                stats.hint_objective = float(form.objective @ x0)
-                counter("milp.warm_start_hits").inc()
-                if not model.has_objective():
-                    # Feasibility model: any feasible point is an answer, so
-                    # the validated hint short-circuits the solver entirely.
-                    with span(
-                        "solver", backend="highs", kind="milp",
-                        model=model.name, variables=n, warm_shortcut=True,
-                    ) as solver_span:
-                        stats.incumbent = stats.hint_objective
-                        stats.elapsed_s = solver_span.duration_s
-                        attach_attribution(stats, form, x0, metas)
-                        solver_span.set(status="optimal", **stats.span_attrs())
-                    counter("milp.warm_start_shortcuts").inc()
-                    values = {
-                        var: float(x0[i])
-                        for i, var in enumerate(form.variables)
-                    }
-                    return Solution(
-                        status=SolveStatus.OPTIMAL,
-                        objective=stats.incumbent,
-                        values=values,
-                        solve_seconds=stats.elapsed_s,
-                        message="warm-start hint accepted (feasibility model)",
-                        stats=stats,
-                    )
         with span(
             "solver", backend="highs", kind="milp", model=model.name,
             variables=n,

@@ -277,77 +277,6 @@ def _trajectory_section(
     return section
 
 
-def _portfolio_section(
-    record: dict | None, trace: TraceSummary | None
-) -> Section:
-    """Per-solve lane table + breaker states of a portfolio run.
-
-    Empty (and therefore dropped) for serial runs: races come from the
-    trace's ``portfolio.race`` events or, offline, from the record's
-    ``algorithm1.stats.portfolio`` snapshot.
-    """
-    section = Section("portfolio", "Solver portfolio races")
-    snapshot = None
-    if record is not None:
-        snapshot = (
-            (record.get("algorithm1") or {}).get("stats") or {}
-        ).get("portfolio")
-    races: list[dict] = list(trace.races) if trace is not None else []
-    if not races and snapshot:
-        races = list(snapshot.get("races") or [])
-    rows: list[list] = []
-    for race in races:
-        for lane in race.get("lanes") or []:
-            started = lane.get("started_s")
-            finished = lane.get("finished_s")
-            wall: Any = ""
-            if started is not None and finished is not None:
-                wall = round(finished - started, 3)
-            cancelled = lane.get("cancelled_at_s")
-            rows.append([
-                race.get("model", ""),
-                race.get("winner", ""),
-                race.get("margin_s") if race.get("margin_s") is not None else "",
-                lane.get("lane", ""),
-                lane.get("verdict", ""),
-                "" if started is None else round(started, 3),
-                wall,
-                "" if cancelled is None else round(cancelled, 3),
-            ])
-    section.table(
-        ["model", "winner", "margin_s", "lane", "verdict", "start_s",
-         "wall_s", "cancelled_s"],
-        rows,
-    )
-    if snapshot:
-        section.mapping({
-            "lanes": _fmt(snapshot.get("lanes")),
-            "raced solves": snapshot.get("solves"),
-            "wins per lane": _fmt(snapshot.get("winners")),
-            "hedge delay (s)": snapshot.get("hedge_delay_s"),
-        })
-        breaker_rows = []
-        for lane, breaker in (snapshot.get("breakers") or {}).items():
-            kinds = ", ".join(
-                f"{kind}={count}"
-                for kind, count in (breaker.get("failure_kinds") or {}).items()
-            )
-            breaker_rows.append([
-                lane,
-                breaker.get("state", ""),
-                breaker.get("successes", 0),
-                breaker.get("failures", 0),
-                kinds,
-                breaker.get("probes", 0),
-            ])
-        section.table(
-            ["lane", "breaker", "successes", "failures", "failure kinds",
-             "probes"],
-            breaker_rows,
-        )
-    return section
-
-
 def _attributions(record: dict | None, trace: TraceSummary | None) -> list[dict]:
     """Every attribution payload in reach, most recent first.
 
@@ -549,7 +478,6 @@ def build_report(
     report.add(_timeline_section(trace))
     report.add(_evaluation_section(trace))
     report.add(_convergence_section(record, trace))
-    report.add(_portfolio_section(record, trace))
     report.add(_trajectory_section(record, trace))
     report.add(_attribution_section(record, trace))
     report.add(_stress_section(record))

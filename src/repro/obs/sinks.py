@@ -41,8 +41,10 @@ class JsonlSink:
             self._file = target
             self._owns_file = False
         self.lines_written = 0
-        # Portfolio lanes emit spans from racing threads; a lock keeps
-        # every JSONL line whole (interleaved writes would tear records).
+        # The service's cache reads and writes run in worker threads
+        # (``asyncio.to_thread``) and emit spans and events there; a lock
+        # keeps every JSONL line whole (interleaved writes would tear
+        # records).
         self._lock = threading.Lock()
 
     def _write(self, record: Mapping) -> None:

@@ -97,21 +97,14 @@ class SolveStats:
     mip_gap: float | None = None
     #: Objective of the root LP relaxation, when the backend solved one.
     lp_objective: float | None = None
-    #: Why the solve stopped early: "" (ran to completion), "node_limit",
-    #: "time_limit", "deadline", "solver_error",
-    #: "fault_injected", "cancelled" (a portfolio race was decided
-    #: elsewhere), "incomplete" (the prober could not round the LP).
+    #: Why the solve stopped early: "" (ran to completion),
+    #: "node_limit", "time_limit" or "limit" (HiGHS stopped at a limit
+    #: with no time limit set), "deadline" (the flow budget expired),
+    #: "solver_error" (a branch-and-bound node LP failed after an
+    #: incumbent was found) or "fault_injected".
     limit_reason: str = ""
-    #: The portfolio lane that produced this solution (set by the racing
-    #: executor on the winner; "" for serial solves).
-    lane: str = ""
     elapsed_s: float = 0.0
     trajectory: list[TrajectorySample] = field(default_factory=list)
-    #: Whether the solve was seeded with a validated incumbent hint.
-    warm_started: bool = False
-    #: Objective of the accepted hint (hint quality: compare against the
-    #: final ``incumbent`` to see how much the search improved on it).
-    hint_objective: float | None = None
     # -- LP->ILP pre-mapping (the paper's 0.95 threshold), recorded on the
     # residual-ILP solve of the two-step method ------------------------------
     fix_threshold: float | None = None
@@ -179,12 +172,6 @@ class SolveStats:
             attrs["gap"] = self.mip_gap
         if self.limit_reason:
             attrs["limit_reason"] = self.limit_reason
-        if self.lane:
-            attrs["lane"] = self.lane
-        if self.warm_started:
-            attrs["warm_started"] = True
-            if self.hint_objective is not None:
-                attrs["hint_objective"] = self.hint_objective
         if self.groups_total is not None:
             attrs["groups_fixed"] = self.groups_fixed
             attrs["groups_total"] = self.groups_total
@@ -211,11 +198,6 @@ class SolveStats:
             "elapsed_s": self.elapsed_s,
             "trajectory": [point.to_dict() for point in self.trajectory],
         }
-        if self.lane:
-            data["lane"] = self.lane
-        if self.warm_started:
-            data["warm_started"] = True
-            data["hint_objective"] = self.hint_objective
         if self.attribution is not None:
             data["attribution"] = self.attribution
         if self.groups_total is not None:
@@ -271,10 +253,6 @@ class Algorithm1Stats:
     certifications: int = 0
     cert_failures: int = 0
     cert_cold_rebuilds: int = 0
-    #: Portfolio-racing snapshot (``PortfolioBackend.portfolio_snapshot``):
-    #: breaker states/transition history, per-lane win counts, and the
-    #: bounded race log.  ``None`` for serial (single-backend) runs.
-    portfolio: dict | None = None
 
     @property
     def iterations(self) -> int:
@@ -311,7 +289,7 @@ class Algorithm1Stats:
             self.max_mip_gap = float(gap)
 
     def to_dict(self) -> dict:
-        data: dict[str, Any] = {
+        return {
             "st_low_ns": self.st_low_ns,
             "st_up_ns": self.st_up_ns,
             "floor_ns": self.floor_ns,
@@ -332,9 +310,6 @@ class Algorithm1Stats:
             "cert_failures": self.cert_failures,
             "cert_cold_rebuilds": self.cert_cold_rebuilds,
         }
-        if self.portfolio is not None:
-            data["portfolio"] = self.portfolio
-        return data
 
 
 # -- live progress -------------------------------------------------------------

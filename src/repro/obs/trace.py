@@ -53,8 +53,6 @@ DEGRADATION_EVENTS = frozenset(
         "sweep.quarantined",
         "certification.failed",
         "certification.cold_rebuild",
-        "portfolio.lane_rejected",
-        "portfolio.breaker",
     }
 )
 
@@ -136,9 +134,6 @@ class TraceSummary:
     #: ``algorithm1.explain`` event attrs — one "why was this iteration
     #: rejected / why did the run end" record per emission, in trace order.
     explains: list[dict] = field(default_factory=list)
-    #: ``portfolio.race`` event attrs — one record per raced solve
-    #: (winner lane, per-lane verdicts/timings), in trace order.
-    races: list[dict] = field(default_factory=list)
     #: Per-sweep-entry verdict (see :data:`VERDICT_RANK`), in the order
     #: entries first appear in the trace.
     sweep_entries: dict[str, str] = field(default_factory=dict)
@@ -217,39 +212,9 @@ class TraceSummary:
             "solves": self.solves,
             "alg1_runs": self.alg1_runs,
             "explains": self.explains,
-            "races": self.races,
             "sweep_entries": self.sweep_entries,
             "events": self.events,
         }
-
-    def race_table(self) -> list[list[object]]:
-        """Per-lane rows of every raced solve (``trace summarize``).
-
-        One row per lane per race: model, winning lane, this lane, its
-        verdict, start/elapsed times and (for cancelled losers) when the
-        race cancelled it — the audit trail of portfolio decisions.
-        """
-        rows: list[list[object]] = []
-        for race in self.races:
-            for lane in race.get("lanes", []):
-                started = lane.get("started_s")
-                finished = lane.get("finished_s")
-                elapsed: object = ""
-                if started is not None and finished is not None:
-                    elapsed = round(finished - started, 3)
-                cancelled = lane.get("cancelled_at_s")
-                rows.append(
-                    [
-                        race.get("model", ""),
-                        race.get("winner", ""),
-                        lane.get("lane", ""),
-                        lane.get("verdict", ""),
-                        "" if started is None else round(started, 3),
-                        elapsed,
-                        "" if cancelled is None else round(cancelled, 3),
-                    ]
-                )
-        return rows
 
     def verdict_table(self) -> list[list[str]]:
         """Per-entry ``[entry, verdict]`` rows, worst verdicts first."""
@@ -350,8 +315,6 @@ def summarize_records(records: Iterable[Mapping]) -> TraceSummary:
                 summary.alg1_runs.append(dict(record.get("attrs", {})))
             elif record["name"] == "algorithm1.explain":
                 summary.explains.append(dict(record.get("attrs", {})))
-            elif record["name"] == "portfolio.race":
-                summary.races.append(dict(record.get("attrs", {})))
             verdict = _EVENT_VERDICTS.get(record["name"])
             if verdict is not None:
                 attrs = record.get("attrs") or {}

@@ -206,16 +206,16 @@ class ContextAnnealer:
         old_pe = self.floorplan.pe_of[op]
         old_cost = self._op_cost(op, self._pos[op])
         new_cost = self._op_cost(op, self._coords[new_pe])
-        # Bounding-box delta requires the tentative move.
-        self.floorplan.rebind(op, new_pe)
+        # Bounding-box delta requires the tentative move, made on the
+        # counts only: the floorplan changes once the move is accepted.
         self._move(op, new_pe)
         area = self._bbox()
         delta = (new_cost - old_cost) + self.config.bbox_weight * (area - self._area)
         if self._metropolis(delta, temperature):
+            self.floorplan.rebind(op, new_pe)
             free[slot_index] = old_pe
             self._area = area
             return True
-        self.floorplan.rebind(op, old_pe)
         self._move(op, old_pe)
         return False
 

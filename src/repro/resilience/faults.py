@@ -50,13 +50,6 @@ FAULT_POINTS = (
     # the supervised pool in repro.report.experiments.
     "worker_crash",       # sweep worker exits hard mid-entry (segfault/OOM)
     "worker_hang",        # sweep worker hangs inside a native call
-    # Portfolio-lane faults: like worker faults, decided in the *parent*
-    # (the racing executor) once per portfolio solve — lane threads would
-    # race each other to the hit counter — and applied to the configured
-    # leading backend's lane.  Exercised by repro.portfolio.
-    "lane_crash",         # the leading lane raises SolverError mid-solve
-    "lane_hang",          # the leading lane hangs until cancelled
-    "lane_wrong_answer",  # the leading lane returns a corrupted solution
     # Service-layer faults (repro.service): like worker faults, the
     # ``service_worker_crash`` verdict is taken in the *service parent*
     # at dispatch time and rides into the job worker as a flag.
@@ -64,9 +57,6 @@ FAULT_POINTS = (
     "service_cache_corrupt",  # an artifact-cache write lands corrupted
     "service_slow_client",    # an HTTP client stalls mid-request body
 )
-
-#: The portfolio-lane subset, in decision-priority order.
-LANE_FAULT_POINTS = ("lane_crash", "lane_hang", "lane_wrong_answer")
 
 #: Name of the activating environment variable.
 ENV_VAR = "REPRO_FAULTS"
@@ -213,20 +203,6 @@ def inject_solver_fault(model_name: str):
             status=SolveStatus.INFEASIBLE,
             message="fault injection: model proven infeasible",
         )
-    return None
-
-
-def decide_lane_fault() -> str | None:
-    """Parent-side decision point for the portfolio-lane faults.
-
-    Called by the racing executor exactly once per portfolio solve, so
-    ``lane_crash@N`` counts *solves*, deterministically — lane threads
-    deciding for themselves would race each other to the hit counter.
-    Returns the fault to apply to the leading lane, or ``None``.
-    """
-    for point in LANE_FAULT_POINTS:
-        if should_inject(point):
-            return point
     return None
 
 

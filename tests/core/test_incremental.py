@@ -142,17 +142,12 @@ class TestWarmFixing:
         )
         cold = solve_remap(model, variables, inp["config"])
         assert cold.feasible
-        assert cold.warm is not None and cold.warm.values
 
         # Same model, looser target: the previous binding must still be
         # feasible, so the warm trial short-circuits the LP->ILP path.
         # (The LP's own >threshold fixing set can legitimately be empty,
         # so the hint carries the full previous assignment instead.)
-        warm = WarmStart(
-            fixing=dict(cold.assignment),
-            values=dict(cold.warm.values),
-            reason="infeasible",
-        )
+        warm = WarmStart(fixing=dict(cold.assignment), reason="infeasible")
         restamp_remap_model(model, inp["max_stress"] * 1.1)
         hits = counter("milp.warm_fixing_hits")
         before = hits.value
@@ -175,11 +170,7 @@ class TestWarmFixing:
         )
         cold = solve_remap(model, variables, inp["config"])
         assert cold.feasible
-        warm = WarmStart(
-            fixing=dict(cold.assignment),
-            values=dict(cold.warm.values),
-            reason="infeasible",
-        )
+        warm = WarmStart(fixing=dict(cold.assignment), reason="infeasible")
         # Tighten far below feasibility: the warm trial must miss, reopen
         # the fixes, and fall through to the (also infeasible) cold path.
         restamp_remap_model(model, inp["max_stress"] * 0.3)
@@ -200,11 +191,7 @@ class TestWarmFixing:
             inp["monitored"], inp["cpd_ns"], inp["max_stress"],
         )
         cold = solve_remap(model, variables, inp["config"])
-        stale = WarmStart(
-            fixing=dict(cold.assignment),
-            values=dict(cold.warm.values),
-            reason="cpd_violation",
-        )
+        stale = WarmStart(fixing=dict(cold.assignment), reason="cpd_violation")
         restamp_remap_model(model, inp["max_stress"] * 1.1)
         outcome = solve_remap(model, variables, inp["config"], warm=stale)
         assert outcome.feasible

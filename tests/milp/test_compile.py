@@ -1,5 +1,5 @@
-"""Incremental compilation tests: the cached lowering, parameterized
-RHS re-stamping, and warm-start hints.
+"""Incremental compilation tests: the cached lowering and parameterized
+RHS re-stamping.
 
 The contract under test (docs/performance.md): re-stamping a parameter
 on a compiled model must be observationally identical to rebuilding the
@@ -12,16 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ModelError, WarmStartError
-from repro.milp import (
-    BranchBoundBackend,
-    Model,
-    ScipyBackend,
-    Sense,
-    SolveStatus,
-    hint_vector,
-    linear_sum,
-)
+from repro.errors import ModelError
+from repro.milp import Model, Sense
 from repro.obs import counter
 
 
@@ -171,123 +163,3 @@ class TestRestampVsRebuild:
         model.declare_parameter("limit", 4.0)
         assert model.parameter("limit") == 4.0
         assert model.parameters == {"limit": 4.0}
-
-
-def warm_model() -> tuple[Model, list]:
-    """A tiny knapsack with a unique optimum (pick x2 and x3 -> -7)."""
-    model = Model("warm")
-    xs = [model.add_binary(f"x{i}") for i in range(4)]
-    model.add_constraint(linear_sum(xs) <= 2)
-    model.set_objective(-(xs[0] + 2 * xs[1] + 3 * xs[2] + 4 * xs[3]))
-    return model, xs
-
-
-class TestHintVector:
-    def test_valid_hint_snaps_discrete(self):
-        model, xs = warm_model()
-        form = model.to_matrix_form()
-        x = hint_vector(form, {xs[0]: 0.0, xs[1]: 1e-6, xs[2]: 1.0, xs[3]: 1.0})
-        np.testing.assert_array_equal(x, [0, 0, 1, 1])
-
-    def test_partial_coverage_rejected(self):
-        model, xs = warm_model()
-        form = model.to_matrix_form()
-        assert hint_vector(form, {xs[0]: 1.0}) is None
-
-    def test_fractional_discrete_rejected(self):
-        model, xs = warm_model()
-        form = model.to_matrix_form()
-        values = {v: 0.0 for v in xs}
-        values[xs[0]] = 0.4
-        assert hint_vector(form, values) is None
-
-    def test_row_violation_rejected(self):
-        model, xs = warm_model()
-        form = model.to_matrix_form()
-        assert hint_vector(form, {v: 1.0 for v in xs}) is None
-
-    def test_dense_hint_accepted(self):
-        model, _ = warm_model()
-        form = model.to_matrix_form()
-        x = hint_vector(form, [0.0, 0.0, 1.0, 1.0])
-        np.testing.assert_array_equal(x, [0, 0, 1, 1])
-
-    def test_nan_hint_raises_not_validates(self):
-        """NaN compares false against every bound: without the explicit
-        finiteness check a poisoned hint would sail through validation."""
-        model, xs = warm_model()
-        form = model.to_matrix_form()
-        values = {v: 0.0 for v in xs}
-        values[xs[2]] = float("nan")
-        with pytest.raises(WarmStartError, match="non-finite"):
-            hint_vector(form, values)
-
-    def test_inf_hint_raises(self):
-        model, _ = warm_model()
-        form = model.to_matrix_form()
-        with pytest.raises(WarmStartError, match="x1"):
-            hint_vector(form, [0.0, float("inf"), 0.0, 0.0])
-
-    def test_wrong_length_dense_hint_raises(self):
-        model, _ = warm_model()
-        form = model.to_matrix_form()
-        with pytest.raises(WarmStartError, match="3 entries"):
-            hint_vector(form, [0.0, 1.0, 1.0])
-
-    def test_warm_start_error_is_a_model_error(self):
-        # Callers catching ModelError keep catching hint problems.
-        assert issubclass(WarmStartError, ModelError)
-
-
-class TestWarmStart:
-    @pytest.fixture(params=["bb", "scipy"])
-    def backend(self, request):
-        if request.param == "scipy":
-            pytest.importorskip("scipy")
-            return ScipyBackend()
-        return BranchBoundBackend()
-
-    def test_warm_objective_equals_cold(self, backend):
-        model, _ = warm_model()
-        cold = backend.solve(model)
-        warm = backend.solve(model, warm_start=dict(cold.values))
-        assert warm.status is SolveStatus.OPTIMAL
-        assert warm.objective == pytest.approx(cold.objective)
-        assert warm.values == cold.values
-        assert warm.stats.warm_started
-        assert warm.stats.hint_objective == pytest.approx(cold.objective)
-
-    def test_stale_hint_falls_back_to_cold(self, backend):
-        model, xs = warm_model()
-        misses = counter("milp.warm_start_misses")
-        before = misses.value
-        cold = backend.solve(model)
-        warm = backend.solve(model, warm_start={v: 1.0 for v in xs})
-        assert misses.value == before + 1
-        assert not warm.stats.warm_started
-        assert warm.objective == pytest.approx(cold.objective)
-
-    def test_bb_warm_start_prunes(self):
-        model, _ = warm_model()
-        backend = BranchBoundBackend()
-        hits = counter("milp.warm_start_hits")
-        cold = backend.solve(model)
-        before = hits.value
-        warm = backend.solve(model, warm_start=dict(cold.values))
-        assert hits.value == before + 1
-        # Seeding the incumbent at the optimum can only shrink the tree.
-        assert warm.stats.nodes <= cold.stats.nodes
-
-    def test_scipy_feasibility_shortcut(self):
-        pytest.importorskip("scipy")
-        model, xs = warm_model()
-        model.set_objective(0.0)  # Eq. (3) style: pure feasibility
-        backend = ScipyBackend()
-        shortcuts = counter("milp.warm_start_shortcuts")
-        values = {v: 0.0 for v in xs}
-        before = shortcuts.value
-        solution = backend.solve(model, warm_start=values)
-        assert shortcuts.value == before + 1
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.values == values
-        assert solution.stats.warm_started

@@ -120,9 +120,9 @@ class TestPinnedOutput:
             ("B5", None, "c66068b9cdd98848"),
             ("B3", None, "495b9d97dbd3899e"),
             # A non-finite move cost aborts a context mid-run.  B1's abort
-            # hits a relocation after its tentative rebind, which the
-            # floorplan keeps; B3's hits a swap.
-            ("B1", "annealing_nan@77", "b4d83fba81b17e6c"),
+            # hits a relocation, which the floorplan never takes (see
+            # TestAtomicMoves); B3's hits a swap.
+            ("B1", "annealing_nan@77", "54c4da3eae7226fe"),
             ("B3", "annealing_nan@77", "d6bc79c7efa3e156"),
         ],
     )
@@ -190,3 +190,38 @@ class TestBookkeeping:
         assert len(largest.ops) == 184
         assert len(largest.priced) > len(largest.kept) == 1
         assert any(len(annealer.kept) > 1 for annealer in annealers)
+
+
+class SnapshotAnnealer(ContextAnnealer):
+    """Remembers the move kind and the floorplan before each proposal."""
+
+    def _try_relocate(self, free, temperature):
+        self.before = ("relocate", dict(self.floorplan.pe_of))
+        return super()._try_relocate(free, temperature)
+
+    def _try_swap(self, temperature):
+        self.before = ("swap", dict(self.floorplan.pe_of))
+        return super()._try_swap(temperature)
+
+
+class TestAtomicMoves:
+    def test_nan_abort_keeps_no_unaccepted_move(self, canonical):
+        # annealing_nan@77 aborts a B1 context on a relocation that the
+        # Metropolis rule never accepted: the floorplan must be the one
+        # from just before that proposal.
+        design, fabric = canonical("B1")
+        floorplan = greedy_place(design, fabric)
+        config = AnnealingConfig()
+        rng = random.Random(config.seed)
+        with fault_scope("annealing_nan@77") as plan:
+            for context in range(design.num_contexts):
+                annealer = SnapshotAnnealer(
+                    design, floorplan, context, config, rng
+                )
+                annealer.run()
+                if plan.fired("annealing_nan"):
+                    break
+        assert plan.fired("annealing_nan") == 1
+        kind, before = annealer.before
+        assert kind == "relocate"
+        assert floorplan.pe_of == before

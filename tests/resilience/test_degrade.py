@@ -124,6 +124,35 @@ class TestLadderInAlgorithm1:
         assert "degradation_reason" in result.stats
         result.floorplan.validate()
 
+    def test_solver_crash_after_step1_degrades(self):
+        # Only the first relax-loop solve crashes: Step 1 completes, and
+        # the SolverError still lands on the ladder, not on the caller.
+        from repro.benchgen import load_benchmark
+        from repro.core.remap import RemapConfig
+        from repro.core.targets import stress_target_lower_bound
+        from repro.place import place_baseline
+
+        design, fabric = load_benchmark("B1")
+        original = place_baseline(design, fabric)
+        stress = compute_stress_map(design, original)
+        # A plan that never fires still counts the backend calls.
+        with fault_scope("solver_crash@1000000") as plan:
+            stress_target_lower_bound(
+                design, fabric, original, stress,
+                config=RemapConfig(time_limit_s=10.0),
+            )
+        step1_calls = plan.hits("solver_crash")
+        with fault_scope(f"solver_crash@{step1_calls + 1}") as plan:
+            result = self._run(design, fabric, original)
+        assert plan.fired("solver_crash") == 1
+        assert "skipped" not in result.step1.stats
+        reason = result.stats["degradation_reason"]
+        assert "SolverError" in reason
+        assert "'remap." in reason  # the relax loop's model, not Step 1's
+        assert result.degradation in ("greedy", "original")
+        assert result.final_cpd_ns <= result.original_cpd_ns + 1e-6
+        result.floorplan.validate()
+
     def test_solver_timeout_degrades(
         self, synth_design, fabric4, synth_floorplan
     ):

@@ -63,9 +63,6 @@ class TestPlanParsing:
             "annealing_nan",
             "worker_crash",
             "worker_hang",
-            "lane_crash",
-            "lane_hang",
-            "lane_wrong_answer",
             "service_worker_crash",
             "service_cache_corrupt",
             "service_slow_client",

@@ -11,7 +11,11 @@ Scale control
 
 Every benchmark records its scientific outputs (MTTF increase, CPD
 preservation, solver statistics) in ``benchmark.extra_info`` so the
-pytest-benchmark JSON doubles as the experiment record.
+pytest-benchmark JSON doubles as the experiment record.  Flows run with
+the configuration every runner shares (:func:`repro.core.flow_config`),
+so Algorithm 1 gets the same iteration budget here as in the CLI, the
+service and the experiment drivers.  Timings for regression tracking
+come from ``perfbench/``, not from here.
 """
 
 from __future__ import annotations
@@ -22,13 +26,16 @@ import pytest
 
 from repro.benchgen import Table1Entry, entry
 from repro.benchgen.synth import build_benchmark
-from repro.core import AgingAwareFlow, Algorithm1Config, FlowConfig, RemapConfig
-
-# The smoke suite definition lives with the perf harness (`repro bench
-# run` executes the same subset), re-exported here for the pytest benches.
-from repro.obs.perf import SMOKE_BENCHMARKS, SMOKE_MAX_FABRIC  # noqa: F401
+from repro.core import AgingAwareFlow, flow_config
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "smoke")
+
+#: Smoke subset: representative Table I entries across usage classes and
+#: context counts, all runnable at smoke scale in minutes.
+SMOKE_BENCHMARKS = ("B1", "B4", "B10", "B13", "B19", "B22")
+
+#: Fabric cap of the smoke profile (entries are scaled down to fit).
+SMOKE_MAX_FABRIC = 8
 
 
 def scaled_entry(name: str) -> Table1Entry:
@@ -39,18 +46,9 @@ def scaled_entry(name: str) -> Table1Entry:
 
 
 def bench_flow(mode: str = "rotate", time_limit_s: float = 15.0) -> AgingAwareFlow:
-    """Benchmark-profile flow: tighter solver budget and iteration cap so
-    the whole harness completes in minutes on one core; the experiment
-    CLI (`repro.report.experiments`) uses the full budgets."""
-    return AgingAwareFlow(
-        FlowConfig(
-            algorithm1=Algorithm1Config(
-                mode=mode,
-                max_iterations=10,
-                remap=RemapConfig(time_limit_s=time_limit_s),
-            )
-        )
-    )
+    """Benchmark-profile flow: the shared configuration with a tighter
+    solver time limit, so the whole harness completes in minutes."""
+    return AgingAwareFlow(flow_config(mode, time_limit_s))
 
 
 def solver_extra_info(result) -> dict:

@@ -10,8 +10,6 @@ inspected and re-analysed from the shell::
     python -m repro.cli analyze  design.json floorplan.json
     python -m repro.cli flow     kernel.c --fabric 4x4 [-o result.json]
     python -m repro.cli bench    one B13 [--scaled 8] [--mode rotate]
-    python -m repro.cli bench    run [-o BENCH.json] [--benchmarks B1,B4]
-    python -m repro.cli bench    compare baseline.json candidate.json
     python -m repro.cli verify   result.json [--certify-backend branch-bound]
     python -m repro.cli trace    summarize trace.jsonl [--json]
     python -m repro.cli explain  result.json [trace.jsonl] [-o report.html]
@@ -46,11 +44,8 @@ exactly-once job journaling and graceful SIGTERM drain (see
 docs/robustness.md, "Serving floorplans").  The listener address is
 published to ``<state-dir>/endpoint.json`` (``--port 0`` = ephemeral).
 
-``bench run`` executes the smoke benchmark suite and writes a
-schema-versioned ``BENCH_<timestamp>.json`` performance record;
-``bench compare`` diffs two records and exits 3 when a configured
-regression threshold is exceeded (``--warn-only`` downgrades to exit 0).
-The bare form ``bench B13`` remains an alias for ``bench one B13``.
+``bench one`` runs one Table I benchmark through the flow; the bare form
+``bench B13`` is an alias for ``bench one B13``.
 """
 
 from __future__ import annotations
@@ -65,9 +60,8 @@ from repro.arch.fabric import Fabric
 from repro.benchgen.sources import KERNELS, kernel_source
 from repro.benchgen.suite import entry as suite_entry
 from repro.benchgen.synth import build_benchmark
-from repro.core.algorithm1 import Algorithm1Config, run_algorithm1
-from repro.core.flow import AgingAwareFlow, FlowConfig
-from repro.core.remap import RemapConfig
+from repro.core.algorithm1 import run_algorithm1
+from repro.core.flow import AgingAwareFlow, FlowConfig, flow_config
 from repro.errors import ReproError
 from repro.explain import set_explain
 from repro.hls.lower import compile_source
@@ -141,12 +135,9 @@ def _metrics_rows() -> list[list[object]]:
 
 
 def _flow_config(args) -> FlowConfig:
-    return FlowConfig(
-        algorithm1=Algorithm1Config(
-            mode=args.mode,
-            certify=not getattr(args, "no_certify", False),
-            remap=RemapConfig(time_limit_s=args.time_limit),
-        )
+    return flow_config(
+        args.mode, args.time_limit,
+        certify=not getattr(args, "no_certify", False),
     )
 
 
@@ -181,13 +172,9 @@ def cmd_place(args) -> int:
 def cmd_remap(args) -> int:
     design = load_design(args.design)
     original = load_floorplan(args.floorplan)
-    config = Algorithm1Config(
-        mode=args.mode,
-        certify=not args.no_certify,
-        remap=RemapConfig(time_limit_s=args.time_limit),
-    )
     result = run_algorithm1(
-        design, original.fabric, original, config, deadline=_deadline_of(args)
+        design, original.fabric, original, _flow_config(args).algorithm1,
+        deadline=_deadline_of(args),
     )
     save_floorplan(result.floorplan, args.output)
     print(format_mapping("Re-mapping", {
@@ -267,60 +254,6 @@ def cmd_bench(args) -> int:
         "fell back": result.remap.fell_back,
         "degradation": result.remap.degradation,
     }))
-    return 0
-
-
-def cmd_bench_run(args) -> int:
-    from repro.obs import perf
-
-    names = tuple(args.benchmarks.split(",")) if args.benchmarks else None
-    record = perf.run_suite(
-        names,
-        mode=args.mode,
-        time_limit_s=args.time_limit,
-        max_fabric=args.scaled,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
-    output = args.output or f"BENCH_{record['timestamp']}.json"
-    save_json(record, output)
-    print(format_table(
-        ["bench", "fabric", "wall_s", "peak_mb", "solves", "nodes",
-         "mttf_x", "degradation"],
-        perf.bench_table_rows(record),
-    ))
-    print(f"\nbench record -> {output}")
-    return 0
-
-
-def cmd_bench_compare(args) -> int:
-    from repro.obs import perf
-
-    baseline = load_json(args.baseline)
-    candidate = load_json(args.candidate)
-    thresholds = perf.CompareThresholds(
-        wall_rel=args.threshold_wall,
-        mem_rel=args.threshold_mem,
-        nodes_rel=args.threshold_nodes,
-    )
-    result = perf.compare_records(baseline, candidate, thresholds)
-    if result.rows:
-        print(format_table(
-            ["bench", "base_s", "cand_s", "wall", "base_mb", "cand_mb",
-             "base_nodes", "cand_nodes"],
-            result.rows,
-        ))
-    for warning in result.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if result.regressions:
-        print("\nREGRESSIONS")
-        for regression in result.regressions:
-            print(f"  {regression.describe()}")
-        if not args.warn_only:
-            return 3
-        print("(--warn-only: not failing the run)", file=sys.stderr)
-        return 0
-    print("\nno regressions")
     return 0
 
 
@@ -735,9 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_flow)
 
-    p = sub.add_parser(
-        "bench", help="Table I benchmarks: one / run / compare"
-    )
+    p = sub.add_parser("bench", help="run one Table I benchmark")
     bsub = p.add_subparsers(dest="bench_command", required=True)
 
     b = bsub.add_parser(
@@ -749,52 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--mode", choices=["freeze", "rotate"], default="rotate")
     b.add_argument("--time-limit", type=float, default=30.0)
     b.set_defaults(func=cmd_bench)
-
-    b = bsub.add_parser(
-        "run", help="run the perf suite -> BENCH_<timestamp>.json",
-        parents=[obs_flags],
-    )
-    b.add_argument(
-        "-o", "--output", default=None,
-        help="bench record path (default: BENCH_<timestamp>.json)",
-    )
-    b.add_argument(
-        "--benchmarks", default=None, metavar="B1,B4,...",
-        help="comma-separated subset (default: the smoke suite)",
-    )
-    b.add_argument("--scaled", type=int, default=8, metavar="DIM",
-                   help="fabric cap (default: 8 = smoke scale)")
-    b.add_argument("--mode", choices=["freeze", "rotate"], default="rotate")
-    b.add_argument("--time-limit", type=float, default=15.0)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run suite entries on an N-process pool (default: 1 = serial)",
-    )
-    b.set_defaults(func=cmd_bench_run)
-
-    b = bsub.add_parser(
-        "compare", help="diff two bench records; exit 3 on regression"
-    )
-    b.add_argument("baseline")
-    b.add_argument("candidate")
-    b.add_argument(
-        "--threshold-wall", type=float, default=0.25, metavar="REL",
-        help="allowed relative wall-time increase (default: 0.25)",
-    )
-    b.add_argument(
-        "--threshold-mem", type=float, default=0.30, metavar="REL",
-        help="allowed relative peak-memory increase (default: 0.30)",
-    )
-    b.add_argument(
-        "--threshold-nodes", type=float, default=0.50, metavar="REL",
-        help="allowed relative solver-node increase (default: 0.50)",
-    )
-    b.add_argument(
-        "--warn-only", action="store_true",
-        help="report regressions but exit 0 (CI soft mode)",
-    )
-    b.set_defaults(func=cmd_bench_compare)
 
     p = sub.add_parser(
         "verify",
@@ -932,7 +817,7 @@ def _normalize_argv(argv: list[str] | None) -> list[str]:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "bench" and len(argv) > 1:
         nxt = argv[1]
-        if nxt not in ("run", "compare", "one") and not nxt.startswith("-"):
+        if nxt != "one" and not nxt.startswith("-"):
             argv.insert(1, "one")
     return argv
 

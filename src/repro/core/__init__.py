@@ -29,6 +29,7 @@ from repro.core.flow import (
     FloorplanEvaluation,
     FlowConfig,
     FlowResult,
+    flow_config,
     run_flow,
 )
 from repro.core.remap import (
@@ -83,6 +84,7 @@ __all__ = [
     "combined_stress_map",
     "default_candidates",
     "default_delta_ns",
+    "flow_config",
     "freeze_plan",
     "frozen_stress_by_pe",
     "restamp_remap_model",

@@ -569,8 +569,8 @@ def _explain_terminal(
     elif iterations >= config.max_iterations:
         terminal = "iteration_budget_exhausted"
         detail = (
-            f"max_iterations={config.max_iterations} reached without an "
-            "accepted floorplan"
+            f"all {config.max_iterations} iterations of the budget ran "
+            "without an accepted floorplan"
         )
     elif st_target > st_ceiling:
         terminal = "st_ceiling_exhausted"

@@ -23,6 +23,7 @@ from repro.arch.checks import check_design_fits
 from repro.arch.context import Floorplan
 from repro.arch.fabric import Fabric
 from repro.core.algorithm1 import Algorithm1Config, RemapResult, run_algorithm1
+from repro.core.remap import RemapConfig
 from repro.errors import DeadlineExceededError, ThermalError
 from repro.hls.allocate import MappedDesign
 from repro.obs import counter, event, get_logger, span
@@ -48,6 +49,25 @@ class FlowConfig:
     #: seconds.  ``None`` = unlimited.  An explicit ``deadline`` argument
     #: to :meth:`~AgingAwareFlow.run` takes precedence.
     deadline_s: float | None = None
+
+
+def flow_config(
+    mode: str, time_limit_s: float, certify: bool = True
+) -> FlowConfig:
+    """The flow configuration of one re-mapping mode, for every runner.
+
+    The CLI, the service, the experiment drivers and the pytest-benchmark
+    harness all build their config here, so Algorithm 1's defaults (its
+    iteration budget included) are the same whichever of them runs a
+    design, and so is the answer.
+    """
+    return FlowConfig(
+        algorithm1=Algorithm1Config(
+            mode=mode,
+            certify=certify,
+            remap=RemapConfig(time_limit_s=time_limit_s),
+        )
+    )
 
 
 @dataclass

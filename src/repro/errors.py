@@ -127,6 +127,19 @@ class SweepError(ReproError):
     """An experiment sweep entry failed permanently (after retries)."""
 
 
+class WorkerLostError(ReproError):
+    """An isolated worker process died, or was killed, before returning.
+
+    Raised by :func:`repro.resilience.isolation.run_isolated`;
+    ``timed_out`` tells a worker killed at its timeout from one that died
+    on its own (crash, OOM kill, ``os._exit``).
+    """
+
+    def __init__(self, message: str, timed_out: bool = False) -> None:
+        super().__init__(message)
+        self.timed_out = timed_out
+
+
 class ServiceError(ReproError):
     """The floorplanning service could not handle a request."""
 

@@ -105,13 +105,14 @@ class BranchBoundBackend:
         return float(result.fun), result.x
 
     # -- main loop --------------------------------------------------------------
-    def solve(self, model: Model, **options) -> Solution:
-        """Solve ``model`` to proven optimality (subject to node/time limits)."""
+    def solve(self, model: Model) -> Solution:
+        """Solve ``model`` to proven optimality, subject to the
+        constructor's node and time limits."""
         stats = SolveStats(backend="branch_bound", kind="milp")
         with span(
             "solver", backend="branch_bound", kind="milp", model=model.name
         ) as solver_span:
-            solution = self._solve(model, solver_span, stats, **options)
+            solution = self._solve(model, solver_span, stats)
             if solution.stats is None:
                 stats.elapsed_s = solver_span.duration_s
                 solution.stats = stats
@@ -128,7 +129,7 @@ class BranchBoundBackend:
         return solution
 
     def _solve(
-        self, model: Model, solver_span, stats: SolveStats, **options
+        self, model: Model, solver_span, stats: SolveStats
     ) -> Solution:
         deadline = current_deadline()
         deadline.check(f"branch_bound:{model.name}")
@@ -138,8 +139,7 @@ class BranchBoundBackend:
             return injected
         form = model.to_matrix_form()
         n = len(form.variables)
-        time_limit = deadline.cap(options.get("time_limit", self.time_limit))
-        max_nodes = options.get("max_nodes", self.max_nodes)
+        time_limit = deadline.cap(self.time_limit)
 
         if n == 0:
             return Solution(
@@ -173,7 +173,7 @@ class BranchBoundBackend:
 
         try:
             while heap:
-                if stats.nodes >= max_nodes:
+                if stats.nodes >= self.max_nodes:
                     proven = False
                     stats.limit_reason = "node_limit"
                     break

@@ -636,13 +636,16 @@ class Model:
         return self.compile().matrix_form()
 
     # -- solving ------------------------------------------------------------------
-    def solve(self, backend=None, **options) -> Solution:
-        """Solve with ``backend`` (default: the scipy/HiGHS backend)."""
+    def solve(self, backend=None) -> Solution:
+        """Solve with ``backend`` (default: the scipy/HiGHS backend).
+
+        Limits (time, nodes) are the backend's, set in its constructor.
+        """
         if backend is None:
             from repro.milp.scipy_backend import ScipyBackend
 
             backend = ScipyBackend()
-        solution = backend.solve(self, **options)
+        solution = backend.solve(self)
         if solution.status.has_solution and not self._minimize and self.has_objective():
             solution.objective = -solution.objective
         return solution

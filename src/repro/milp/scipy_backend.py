@@ -57,8 +57,8 @@ class ScipyBackend:
     def __init__(self, time_limit: float | None = None):
         self.time_limit = time_limit
 
-    def solve(self, model: Model, **options) -> Solution:
-        """Solve ``model``; per-call ``options`` override constructor values.
+    def solve(self, model: Model) -> Solution:
+        """Solve ``model`` under the constructor's time limit.
 
         The current :class:`~repro.resilience.Deadline` is honoured: an
         already-expired budget raises before HiGHS is entered, and the
@@ -81,7 +81,7 @@ class ScipyBackend:
             )
 
         milp_options: dict = {}
-        time_limit = deadline.cap(options.get("time_limit", self.time_limit))
+        time_limit = deadline.cap(self.time_limit)
         if time_limit is not None:
             milp_options["time_limit"] = float(time_limit)
         if progress_enabled():

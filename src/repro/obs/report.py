@@ -18,9 +18,9 @@ offline, on a machine with neither the repo nor a network:
 Sections are built only when their inputs exist, and every built section
 is guaranteed non-empty — the CI report gate relies on that.
 
-Like :mod:`repro.obs.perf`, this module stays out of ``repro.obs.__init__``:
-it imports ``repro.io`` and ``repro.aging`` (which import ``repro.obs``),
-so eager package-root import would be a cycle.  Import it as
+This module stays out of ``repro.obs.__init__``: it imports
+``repro.io`` and ``repro.aging`` (which import ``repro.obs``), so eager
+package-root import would be a cycle.  Import it as
 ``from repro.obs import report``.
 """
 

@@ -33,7 +33,7 @@ class TraceError(ReproError):
 REQUIRED_KEYS = ("type", "name", "duration_s", "parent")
 
 #: Event names that signal degraded execution (resilience ladder, budget
-#: expiry, fault injection, sweep retries).  ``trace summarize`` lists
+#: expiry, fault injection, sweep worker deaths and failures).  ``trace summarize`` lists
 #: matching events in a dedicated section so a degraded run is visible at
 #: a glance.
 DEGRADATION_EVENTS = frozenset(
@@ -46,7 +46,6 @@ DEGRADATION_EVENTS = frozenset(
         "fault.injected",
         "anneal.deadline_stop",
         "anneal.nan_abort",
-        "sweep.retry",
         "sweep.entry_failed",
         "sweep.worker_crash",
         "sweep.entry_timeout",
@@ -76,9 +75,9 @@ EVALUATION_STAGES = (
 
 #: Per-entry sweep verdicts, worst first.  An entry's verdict is the
 #: highest-ranked signal seen for it anywhere in the trace: a clean
-#: ``table1_entry`` span is ``ok``; retry/crash/timeout events upgrade it
-#: to ``retried``; exhaustion, certification failure, and quarantine win
-#: over everything before them.
+#: ``table1_entry`` span is ``ok``; worker crash/timeout events upgrade
+#: it to ``retried``; a typed failure, certification failure, and
+#: quarantine win over everything before them.
 _EVALUATION_STAGE_SET = frozenset(EVALUATION_STAGES)
 
 VERDICT_RANK = {
@@ -91,7 +90,6 @@ VERDICT_RANK = {
 
 #: Event name -> the sweep verdict it implies for its entry/benchmark.
 _EVENT_VERDICTS = {
-    "sweep.retry": "retried",
     "sweep.worker_crash": "retried",
     "sweep.entry_timeout": "retried",
     "sweep.entry_failed": "failed",

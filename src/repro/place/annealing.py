@@ -24,7 +24,7 @@ from repro.arch.fabric import Fabric
 from repro.hls.allocate import MappedDesign
 from repro.obs import counter, event, get_logger, span
 from repro.resilience.deadline import current_deadline
-from repro.resilience.faults import should_inject
+from repro.resilience.faults import active_plan, should_inject
 
 _log = get_logger("place.annealing")
 
@@ -83,6 +83,10 @@ class ContextAnnealer:
         for row, col in self._pos.values():
             self._row_ops[int(row)] += 1
             self._col_ops[int(col)] += 1
+        #: Whether a fault plan is armed, resolved once: only then does
+        #: each proposal ask ``should_inject``, which reads the plan (and
+        #: the environment) on every call.
+        self._faults_armed = active_plan() is not None
 
     def _build_incidence(self) -> None:
         """Wires incident to each movable op, with fixed-or-movable endpoints.
@@ -191,7 +195,7 @@ class ContextAnnealer:
         return (proposed, accepted_moves)
 
     def _metropolis(self, delta: float, temperature: float) -> bool:
-        if should_inject("annealing_nan"):
+        if self._faults_armed and should_inject("annealing_nan"):
             delta = float("nan")
         if not math.isfinite(delta):
             raise _NonFiniteCost(f"delta={delta!r}")

@@ -13,24 +13,25 @@ Scales
 laptop); ``paper`` runs the verbatim Table I configurations (hours for the
 16x16 entries).  Both exercise the identical code path — only problem size
 changes.  EXPERIMENTS.md records measured-vs-published values.
+
+Sweeps (``table1``, ``fig5``) run each entry in its own fresh worker
+process, ``--jobs`` of them at once, and every flow with the one
+configuration all runners share (:func:`repro.core.flow.flow_config`).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
-import os
+import asyncio
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.benchgen.suite import TABLE1, Table1Entry
 from repro.benchgen.synth import build_benchmark
-from repro.core.algorithm1 import Algorithm1Config
-from repro.core.flow import AgingAwareFlow, FlowConfig
-from repro.core.remap import RemapConfig
-from repro.errors import FlowError, ReproError, SweepError
+from repro.core.flow import AgingAwareFlow, flow_config
+from repro.errors import FlowError, ReproError, SweepError, WorkerLostError
 from repro.obs import (
     CollectorSink,
     attached,
@@ -43,13 +44,9 @@ from repro.obs import (
     span,
 )
 from repro.resilience.checkpoint import SweepCheckpoint
+from repro.resilience.deadline import Deadline, deadline_scope, shielded
 from repro.resilience.faults import should_inject
-from repro.resilience.deadline import (
-    Deadline,
-    current_deadline,
-    deadline_scope,
-    shielded,
-)
+from repro.resilience.isolation import run_isolated
 from repro.report.figures import ascii_curve, bar_chart, series_csv, stress_grid
 from repro.report.paper import (
     BenchmarkMeasurement,
@@ -77,21 +74,10 @@ def _log_line(message: str = "") -> None:
     _log.info("%s", message)
 
 
-#: Seed offset applied on the retry of a transiently-failed sweep entry.
-#: Chosen coprime to the suite seeds so a perturbed run never collides
-#: with another entry's nominal seed.
-RETRY_SEED_STRIDE = 1009
-
-#: Base of the exponential backoff slept before an isolated crash retry
-#: (doubles per strike).  Module-level so tests can shrink it.
+#: Base of the exponential backoff slept before retrying an entry whose
+#: worker died (doubles per fatal attempt).  Module-level so tests can
+#: shrink it.
 _CRASH_BACKOFF_BASE_S = 0.5
-
-#: Supervisor polling period while watching in-flight sweep workers.
-_POLL_INTERVAL_S = 0.2
-
-#: Exit code of a fault-injected worker crash (any hard death works; a
-#: recognisable code makes post-mortems unambiguous).
-_CRASH_EXIT_CODE = 86
 
 
 @dataclass
@@ -110,12 +96,13 @@ class ExperimentConfig:
     resume: bool = False
     #: Record permanently-failed entries and continue instead of aborting.
     keep_going: bool = False
-    #: Extra attempts (with a perturbed seed) after a transient failure.
+    #: Extra attempts after a worker crash or timeout; the last fatal
+    #: attempt quarantines the entry.
     retries: int = 1
-    #: Process-pool width for table1/fig5 sweeps (1 = serial in-process).
+    #: How many entries run at once, each in its own worker process.
     jobs: int = 1
-    #: Hard wall-clock limit per parallel sweep entry; an overrunning
-    #: worker is killed and the entry retried in isolation (None = off).
+    #: Hard wall-clock limit per entry attempt; an overrunning worker is
+    #: killed and the attempt counts as fatal (None = off).
     entry_timeout_s: float | None = None
     #: Independently certify every accepted MILP solution (repro.verify).
     certify: bool = True
@@ -131,25 +118,8 @@ class ExperimentConfig:
         return entries
 
 
-def flow_config(
-    mode: str,
-    time_limit_s: float,
-    max_iterations: int = 12,
-    certify: bool = True,
-) -> FlowConfig:
-    """Standard experiment flow configuration for one re-mapping mode."""
-    return FlowConfig(
-        algorithm1=Algorithm1Config(
-            mode=mode,
-            max_iterations=max_iterations,
-            certify=certify,
-            remap=RemapConfig(time_limit_s=time_limit_s),
-        )
-    )
-
-
 def measure_benchmark(
-    entry: Table1Entry, config: ExperimentConfig, seed: int | None = None
+    entry: Table1Entry, config: ExperimentConfig
 ) -> BenchmarkMeasurement:
     """Run Phase 1 once and Phase 2 in both modes for one benchmark.
 
@@ -158,14 +128,11 @@ def measure_benchmark(
     the paper, where both columns start from the same Musketeer floorplan.
 
     ``config.deadline_s`` bounds the whole measurement (Phase 1 shielded,
-    as in :meth:`AgingAwareFlow.run`); ``seed`` overrides ``config.seed``
-    for perturbed-seed retries.
+    as in :meth:`AgingAwareFlow.run`).
     """
     from repro.aging.mttf import mttf_increase as compute_increase
 
-    design, fabric = build_benchmark(
-        entry.spec(config.seed if seed is None else seed)
-    )
+    design, fabric = build_benchmark(entry.spec(config.seed))
     deadline = (
         Deadline.after(config.deadline_s)
         if config.deadline_s is not None
@@ -198,409 +165,169 @@ def measure_benchmark(
     )
 
 
-def _measure_entry(
-    entry: Table1Entry, config: ExperimentConfig, log=_log_line
-) -> tuple[BenchmarkMeasurement | None, dict]:
-    """Measure one entry; retry transient failures with a perturbed seed.
+def _measure_entry(entry: Table1Entry, config: ExperimentConfig) -> dict:
+    """Worker body of one sweep entry; runs in its own process.
 
-    Returns ``(measurement, checkpoint_record)``; ``measurement`` is None
-    on permanent failure (``record["status"] == "failed"``).  The record
-    is exactly what a checkpoint stores — the caller owns the append, so
-    serial and process-parallel sweeps write identical checkpoints.
+    Inherited sinks are dropped (their file handles belong to the
+    parent), spans and events are captured by a local collector and
+    shipped back as picklable records, and the checkpoint is never
+    touched here: the parent owns every append.  A typed flow failure
+    comes back as a ``failed`` record.  It is deterministic for its
+    inputs, so a retry would only repeat it.
     """
-    attempts = max(1, config.retries + 1)
-    last_error: ReproError | None = None
-    for attempt in range(attempts):
-        seed = config.seed + RETRY_SEED_STRIDE * attempt
-        try:
-            measurement = measure_benchmark(entry, config, seed=seed)
-        except ReproError as exc:
-            last_error = exc
-            counter("sweep.entry_errors").inc()
-            if attempt < attempts - 1:
-                counter("sweep.retries").inc()
-                event(
-                    "sweep.retry",
-                    entry=entry.name,
-                    attempt=attempt + 1,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                log(
-                    f"{entry.name}: attempt {attempt + 1} failed "
-                    f"({type(exc).__name__}: {exc}); retrying with "
-                    f"seed {config.seed + RETRY_SEED_STRIDE * (attempt + 1)}"
-                )
-            continue
-        return measurement, {
-            "entry": entry.name,
-            "status": "ok",
-            "seed": seed,
-            "freeze_increase": measurement.freeze_increase,
-            "rotate_increase": measurement.rotate_increase,
-        }
-    counter("sweep.entry_failures").inc()
-    event(
-        "sweep.entry_failed",
-        entry=entry.name,
-        error=f"{type(last_error).__name__}: {last_error}",
-    )
-    return None, {
-        "entry": entry.name,
-        "status": "failed",
-        "error": f"{type(last_error).__name__}: {last_error}",
-    }
-
-
-def _measure_with_retry(
-    entry: Table1Entry,
-    config: ExperimentConfig,
-    checkpoint: SweepCheckpoint | None,
-    log=_log_line,
-) -> BenchmarkMeasurement:
-    """Serial-path wrapper of :func:`_measure_entry`.
-
-    On success the measurement is appended to ``checkpoint`` (when given);
-    a permanent failure is recorded there too (``status: "failed"`` — a
-    later ``--resume`` run will retry it) and raised as
-    :class:`~repro.errors.SweepError`.
-    """
-    measurement, record = _measure_entry(entry, config, log=log)
-    if checkpoint is not None:
-        checkpoint.append(record)
-    if measurement is None:
-        raise SweepError(
-            f"{entry.name}: failed after {max(1, config.retries + 1)} "
-            f"attempt(s): {record['error']}"
-        )
-    return measurement
-
-
-def _sweep_worker(
-    entry: Table1Entry,
-    config: ExperimentConfig,
-    deadline_share_s: float | None,
-    inject: str | None = None,
-) -> dict:
-    """Process-pool body of one sweep entry.
-
-    Runs in a forked worker: inherited sinks are dropped (their file
-    handles belong to the parent), spans/events are captured by a local
-    collector and shipped back as picklable records, and the checkpoint is
-    never touched here — the parent owns all appends.
-
-    ``inject`` is the parent's fault-injection verdict (decided at submit
-    time so hit counters stay deterministic — forked workers each start
-    from zero): ``"crash"`` dies hard mid-entry, ``"hang"`` wedges as if
-    stuck in a native call.
-    """
-    if inject == "crash":
-        os._exit(_CRASH_EXIT_CODE)
-    if inject == "hang":
-        time.sleep(3600.0)
     clear_sinks()
     collector = CollectorSink()
-    worker_config = replace(
-        config, checkpoint=None, jobs=1, deadline_s=deadline_share_s
-    )
     start = time.perf_counter()
-    with attached(collector):
-        with span("table1_entry", benchmark=entry.name):
-            measurement, record = _measure_entry(
-                entry, worker_config, log=_log_line
-            )
+    with attached(collector), span("table1_entry", benchmark=entry.name):
+        try:
+            measurement = measure_benchmark(entry, config)
+        except ReproError as exc:
+            record = {
+                "entry": entry.name,
+                "status": "failed",
+                "error": f"{type(exc).__name__}: {exc}",
+            }
+        else:
+            record = {
+                "entry": entry.name,
+                "status": "ok",
+                "seed": config.seed,
+                "freeze_increase": measurement.freeze_increase,
+                "rotate_increase": measurement.rotate_increase,
+            }
     return {
         "record": record,
-        "ok": measurement is not None,
         "trace_records": collector.records,
         "wall_s": time.perf_counter() - start,
     }
 
 
-def _wave_share(
-    config: ExperimentConfig, n_entries: int, jobs: int
-) -> float | None:
-    """Per-worker deadline share for a wave of ``n_entries`` entries.
-
-    Entries run in ``ceil(n/jobs)`` sub-waves; a fair share assumes each
-    worker processes one entry per sub-wave.  Recomputed per wave so
-    retries see the budget that is actually left.
-    """
-    share = config.deadline_s
-    remaining = current_deadline().remaining_s()
-    if math.isfinite(remaining):
-        wave_share = remaining / math.ceil(n_entries / jobs)
-        share = wave_share if share is None else min(share, wave_share)
-    return share
+def _measurement(entry: Table1Entry, record: dict) -> BenchmarkMeasurement:
+    """The measurement an ``ok`` checkpoint record stores."""
+    return BenchmarkMeasurement(
+        entry=entry,
+        freeze_increase=record["freeze_increase"],
+        rotate_increase=record["rotate_increase"],
+    )
 
 
-def _finish_entry(
+async def _run_entry(
     entry: Table1Entry,
-    outcome: dict,
     config: ExperimentConfig,
     checkpoint: SweepCheckpoint | None,
     results: dict[str, BenchmarkMeasurement],
-    failed: list[str],
     log,
-) -> None:
-    """Absorb one worker outcome into the sweep state (parent side)."""
-    replay_records(outcome["trace_records"])
-    record = outcome["record"]
-    if checkpoint is not None:
-        checkpoint.append(record)
-    if outcome["ok"]:
-        measurement = BenchmarkMeasurement(
-            entry=entry,
-            freeze_increase=record["freeze_increase"],
-            rotate_increase=record["rotate_increase"],
-        )
-        results[entry.name] = measurement
-        log(
-            f"{entry.name}: freeze "
-            f"{measurement.freeze_increase:.2f}x "
-            f"(paper {entry.freeze_ref:.2f}) rotate "
-            f"{measurement.rotate_increase:.2f}x "
-            f"(paper {entry.rotate_ref:.2f}) "
-            f"[{outcome['wall_s']:.1f}s]"
-        )
-    elif config.keep_going:
-        failed.append(entry.name)
+) -> str:
+    """Attempt ladder of one entry; returns ``ok``, ``failed`` or
+    ``quarantined``.
+
+    Every attempt runs in a fresh worker process.  A crash or timeout
+    appends a ``failed`` record, backs off, and retries; after
+    ``retries + 1`` fatal attempts the entry is ``quarantined`` (still
+    resumable: ``completed()`` only honours ``ok``).  A typed failure
+    ends the ladder at once, and aborts the sweep unless
+    ``config.keep_going``.
+    """
+    attempts = max(1, config.retries + 1)
+    reason = ""
+    for attempt in range(1, attempts + 1):
+        if attempt > 1:
+            if checkpoint is not None:
+                checkpoint.append({
+                    "entry": entry.name, "status": "failed", "error": reason,
+                })
+            backoff = _CRASH_BACKOFF_BASE_S * 2 ** (attempt - 2)
+            log(f"{entry.name}: {reason}; retrying in {backoff:.1f}s")
+            await asyncio.sleep(backoff)
+        # Fault verdicts are taken here, in the parent, so per-point hit
+        # counters are process-stable (see repro.resilience.isolation).
+        inject = None
+        if should_inject("worker_crash"):
+            inject = "crash"
+        elif should_inject("worker_hang"):
+            inject = "hang"
+        try:
+            outcome = await run_isolated(
+                _measure_entry, (entry, config), config.entry_timeout_s, inject
+            )
+        except WorkerLostError as lost:
+            reason = str(lost)
+            if lost.timed_out:
+                counter("sweep.entry_timeouts").inc()
+                event("sweep.entry_timeout", entry=entry.name,
+                      strikes=attempt, error=reason)
+            else:
+                counter("sweep.worker_crashes").inc()
+                event("sweep.worker_crash", entry=entry.name,
+                      strikes=attempt, error=reason)
+            continue
+        replay_records(outcome["trace_records"])
+        record = outcome["record"]
+        if checkpoint is not None:
+            checkpoint.append(record)
+        if record["status"] == "ok":
+            measurement = results[entry.name] = _measurement(entry, record)
+            log(
+                f"{entry.name}: freeze "
+                f"{measurement.freeze_increase:.2f}x "
+                f"(paper {entry.freeze_ref:.2f}) rotate "
+                f"{measurement.rotate_increase:.2f}x "
+                f"(paper {entry.rotate_ref:.2f}) "
+                f"[{outcome['wall_s']:.1f}s]"
+            )
+            return "ok"
+        counter("sweep.entry_failures").inc()
+        event("sweep.entry_failed", entry=entry.name, error=record["error"])
+        if not config.keep_going:
+            raise SweepError(
+                f"{entry.name}: failed after {attempt} attempt(s): "
+                f"{record['error']}"
+            )
         log(
             f"{entry.name}: FAILED ({record['error']}); "
             "continuing (--keep-going)"
         )
-    else:
-        raise SweepError(
-            f"{entry.name}: failed after "
-            f"{max(1, config.retries + 1)} attempt(s): "
-            f"{record['error']}"
-        )
+        return "failed"
+    counter("sweep.entries_quarantined").inc()
+    event("sweep.quarantined", entry=entry.name, strikes=attempts,
+          error=reason)
+    if checkpoint is not None:
+        checkpoint.append({
+            "entry": entry.name,
+            "status": "quarantined",
+            "strikes": attempts,
+            "error": reason,
+        })
+    log(
+        f"{entry.name}: QUARANTINED after {attempts} fatal attempt(s) "
+        f"({reason}); a --resume run will retry it"
+    )
+    return "quarantined"
 
 
-def _strike_entry(
-    entry: Table1Entry,
-    kind: str,
-    reason: str,
-    config: ExperimentConfig,
-    checkpoint: SweepCheckpoint | None,
-    quarantined: list[str],
-    strikes: dict[str, int],
-    retry: list[Table1Entry],
-    log,
-) -> None:
-    """Record one fatal worker incident (crash or timeout) for ``entry``.
-
-    First strike: append a ``"failed"`` checkpoint record and queue an
-    isolated serial retry.  An entry that kills workers twice — or more
-    often than ``config.retries`` allows — is quarantined: recorded as
-    ``"quarantined"`` (still resumable; ``completed()`` only honours
-    ``"ok"``), reported at sweep end, and never allowed to take the pool
-    down again this run.
-    """
-    strikes[entry.name] = strikes.get(entry.name, 0) + 1
-    count = strikes[entry.name]
-    if kind == "timeout":
-        counter("sweep.entry_timeouts").inc()
-        event(
-            "sweep.entry_timeout", entry=entry.name, strikes=count,
-            error=reason,
-        )
-    else:
-        counter("sweep.worker_crashes").inc()
-        event(
-            "sweep.worker_crash", entry=entry.name, strikes=count,
-            error=reason,
-        )
-    if count >= 2 or count > config.retries:
-        counter("sweep.entries_quarantined").inc()
-        event(
-            "sweep.quarantined", entry=entry.name, strikes=count,
-            error=reason,
-        )
-        if checkpoint is not None:
-            checkpoint.append({
-                "entry": entry.name,
-                "status": "quarantined",
-                "strikes": count,
-                "error": reason,
-            })
-        quarantined.append(entry.name)
-        log(
-            f"{entry.name}: QUARANTINED after {count} fatal attempt(s) "
-            f"({reason}); a --resume run will retry it"
-        )
-    else:
-        if checkpoint is not None:
-            checkpoint.append({
-                "entry": entry.name, "status": "failed", "error": reason,
-            })
-        retry.append(entry)
-        log(f"{entry.name}: {reason}; will retry in isolation")
-
-
-def _run_wave(
-    wave: list[Table1Entry],
-    config: ExperimentConfig,
-    checkpoint: SweepCheckpoint | None,
-    results: dict[str, BenchmarkMeasurement],
-    failed: list[str],
-    quarantined: list[str],
-    strikes: dict[str, int],
-    log,
-) -> list[Table1Entry]:
-    """Run one wave of entries on a fresh process pool.
-
-    Returns the entries that must run again: struck in-flight entries
-    (worker death or entry timeout — the supervisor retries them in
-    isolation) plus queued entries a broken pool never started (requeued
-    without a strike).  Entries out of strikes are quarantined here.
-    """
-    from concurrent.futures import ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    jobs = min(config.jobs, len(wave))
-    share = _wave_share(config, len(wave), jobs)
-    retry: list[Table1Entry] = []
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        futures: dict = {}
-        order: list = []
-        for entry in wave:
-            # Fault-injection verdicts are taken here, in the parent,
-            # so per-point hit counters are process-stable (see
-            # repro.resilience.faults.FAULT_POINTS).
-            inject = None
-            if should_inject("worker_crash"):
-                inject = "crash"
-            elif should_inject("worker_hang"):
-                inject = "hang"
-            future = pool.submit(_sweep_worker, entry, config, share, inject)
-            futures[future] = entry
-            order.append(future)
-        pending = set(futures)
-        observed: dict = {}  # future -> first-seen-running monotonic time
-        timed_out: set = set()
-        broken: set = set()
-        while pending:
-            done, pending = wait(pending, timeout=_POLL_INTERVAL_S)
-            now = time.monotonic()
-            for future in pending:
-                if future not in observed and future.running():
-                    observed[future] = now
-            if config.entry_timeout_s is not None and not timed_out:
-                overdue = {
-                    future for future in pending
-                    if future in observed
-                    and now - observed[future] > config.entry_timeout_s
-                }
-                if overdue:
-                    timed_out |= overdue
-                    for future in overdue:
-                        log(
-                            f"{futures[future].name}: exceeded entry "
-                            f"timeout ({config.entry_timeout_s:.1f}s); "
-                            "killing pool workers"
-                        )
-                    # No per-future kill exists: pool workers are
-                    # anonymous until they die.  Kill them all; innocent
-                    # in-flight entries surface as crash strikes and win
-                    # their isolated retry.
-                    for proc in list(pool._processes.values()):
-                        proc.kill()
-            for future in done:
-                entry = futures[future]
-                try:
-                    outcome = future.result()
-                except BrokenProcessPool:
-                    broken.add(future)
-                    continue
-                _finish_entry(
-                    entry, outcome, config, checkpoint, results, failed,
-                    log,
-                )
-        # The pool is dead (workers killed or a worker crashed).  At most
-        # ``jobs`` of the broken futures were actually executing: strike
-        # the observed-running ones plus the earliest-submitted
-        # unobserved ones up to the pool width (FIFO dispatch means those
-        # are the likeliest culprits); requeue the rest without a strike.
-        unobserved_slots = max(
-            0, jobs - sum(1 for f in broken if f in observed)
-        )
-        for future in (f for f in order if f in broken):
-            entry = futures[future]
-            if future in observed:
-                kind = "timeout" if future in timed_out else "crash"
-                reason = (
-                    f"entry timeout ({config.entry_timeout_s:.1f}s) "
-                    "exceeded; worker killed"
-                    if kind == "timeout"
-                    else "worker process died mid-entry"
-                )
-                _strike_entry(
-                    entry, kind, reason, config, checkpoint, quarantined,
-                    strikes, retry, log,
-                )
-            elif unobserved_slots > 0:
-                unobserved_slots -= 1
-                _strike_entry(
-                    entry, "crash", "worker process died mid-entry",
-                    config, checkpoint, quarantined, strikes, retry, log,
-                )
-            else:
-                retry.append(entry)
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-    return retry
-
-
-def _sweep_parallel(
+async def _sweep(
     pending: list[Table1Entry],
     config: ExperimentConfig,
     checkpoint: SweepCheckpoint | None,
     results: dict[str, BenchmarkMeasurement],
-    failed: list[str],
-    quarantined: list[str],
-    log=_log_line,
-) -> None:
-    """Fan pending sweep entries out over a supervised process pool.
-
-    Each entry is measured exactly as in a serial sweep (same seeds, same
-    retry ladder), so the measurements are identical — only wall-clock
-    interleaving changes.  The parent appends checkpoint records in
-    completion order (same fsync guarantees; ``--resume`` composes) and
-    replays worker trace records into its own sinks.
-
-    Unlike a bare pool, the supervisor survives worker death: a
-    ``BrokenProcessPool`` or per-entry timeout kills at most one wave.
-    Struck entries re-run one at a time on a fresh single-worker pool
-    (exponential backoff between attempts), entries the broken pool never
-    started are requeued unpenalised, and an entry that keeps killing
-    workers is quarantined rather than allowed to wedge the sweep.
-    """
+    log,
+) -> dict[str, str]:
+    """Run ``pending`` through :func:`_run_entry`, ``config.jobs`` at a
+    time; returns each entry's final status."""
     queue = list(pending)
-    strikes: dict[str, int] = {}
-    while queue:
-        struck = next(
-            (e for e in queue if strikes.get(e.name, 0) > 0), None
-        )
-        if struck is not None:
-            queue.remove(struck)
-            wave = [struck]
-            backoff = (
-                _CRASH_BACKOFF_BASE_S * 2 ** (strikes[struck.name] - 1)
+    statuses: dict[str, str] = {}
+
+    async def lane() -> None:
+        while queue:
+            entry = queue.pop(0)
+            statuses[entry.name] = await _run_entry(
+                entry, config, checkpoint, results, log
             )
-            log(
-                f"{struck.name}: backing off {backoff:.1f}s before "
-                "isolated retry"
-            )
-            time.sleep(backoff)
-        else:
-            wave, queue = queue, []
-        queue.extend(
-            _run_wave(
-                wave, config, checkpoint, results, failed, quarantined,
-                strikes, log,
-            )
-        )
+
+    await asyncio.gather(
+        *(lane() for _ in range(min(max(1, config.jobs), len(queue))))
+    )
+    return statuses
 
 
 def run_table1(config: ExperimentConfig, log=_log_line) -> list[BenchmarkMeasurement]:
@@ -614,10 +341,12 @@ def run_table1(config: ExperimentConfig, log=_log_line) -> list[BenchmarkMeasure
     uninterrupted run.  ``config.keep_going`` records a permanently-failed
     entry and moves on instead of aborting the sweep.
 
-    ``config.jobs > 1`` measures the non-restored entries on a process
-    pool (:func:`_sweep_parallel`) — per-entry measurements and checkpoint
-    records are identical to a serial sweep, and the returned list keeps
-    suite order regardless of completion order.
+    Every entry still to measure runs in its own fresh worker process,
+    through the attempt the service makes per job
+    (:func:`repro.resilience.isolation.run_isolated`), ``config.jobs`` of
+    them at once.  ``--jobs`` changes only wall time: measurements and
+    checkpoint records are identical at any width, and the returned list
+    keeps suite order regardless of completion order.
     """
     checkpoint = (
         SweepCheckpoint(Path(config.checkpoint)) if config.checkpoint else None
@@ -630,49 +359,20 @@ def run_table1(config: ExperimentConfig, log=_log_line) -> list[BenchmarkMeasure
             checkpoint.reset()
     suite = config.suite()
     results: dict[str, BenchmarkMeasurement] = {}
-    failed: list[str] = []
-    quarantined: list[str] = []
     pending: list[Table1Entry] = []
     for entry in suite:
         record = done.get(entry.name)
         if record is not None:
             counter("sweep.entries_resumed").inc()
-            results[entry.name] = BenchmarkMeasurement(
-                entry=entry,
-                freeze_increase=record["freeze_increase"],
-                rotate_increase=record["rotate_increase"],
-            )
+            results[entry.name] = _measurement(entry, record)
             log(f"{entry.name}: restored from checkpoint")
         else:
             pending.append(entry)
-    if config.jobs > 1 and len(pending) > 1:
-        _sweep_parallel(
-            pending, config, checkpoint, results, failed, quarantined, log
-        )
-    else:
-        for entry in pending:
-            with span("table1_entry", benchmark=entry.name) as entry_span:
-                try:
-                    measurement = _measure_with_retry(
-                        entry, config, checkpoint, log=log
-                    )
-                except SweepError as exc:
-                    if not config.keep_going:
-                        raise
-                    failed.append(entry.name)
-                    log(
-                        f"{entry.name}: FAILED ({exc}); continuing "
-                        "(--keep-going)"
-                    )
-                    continue
-            results[entry.name] = measurement
-            log(
-                f"{entry.name}: freeze {measurement.freeze_increase:.2f}x "
-                f"(paper {entry.freeze_ref:.2f}) rotate "
-                f"{measurement.rotate_increase:.2f}x "
-                f"(paper {entry.rotate_ref:.2f}) "
-                f"[{entry_span.duration_s:.1f}s]"
-            )
+    statuses = asyncio.run(_sweep(pending, config, checkpoint, results, log))
+    failed = [e.name for e in pending if statuses[e.name] == "failed"]
+    quarantined = [
+        e.name for e in pending if statuses[e.name] == "quarantined"
+    ]
     measurements = [
         results[entry.name] for entry in suite if entry.name in results
     ]
@@ -801,18 +501,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--retries", type=int, default=1,
-        help="perturbed-seed retries per transiently-failed entry",
+        help="extra attempts per entry after a worker crash or timeout; "
+        "the last fatal attempt quarantines the entry (default: 1)",
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="measure table1/fig5 entries on an N-process pool "
-        "(default: 1 = serial; results are identical either way)",
+        help="measure N table1/fig5 entries at once, each in its own "
+        "worker process (default: 1; results are identical at any N)",
     )
     parser.add_argument(
         "--entry-timeout", type=float, default=None, metavar="SECONDS",
-        help="hard wall-clock limit per parallel sweep entry; an "
-        "overrunning worker is killed and the entry retried "
-        "(default: no timeout)",
+        help="hard wall-clock limit per entry attempt; an overrunning "
+        "worker is killed and the entry retried (default: no timeout)",
     )
     parser.add_argument(
         "--no-certify", action="store_true",

@@ -1,6 +1,6 @@
 """Resilient execution layer: deadlines, fault injection, degradation.
 
-Four small parts (docs/robustness.md has the full story):
+Small parts (docs/robustness.md has the full story):
 
 * :mod:`repro.resilience.deadline` — a single wall-clock budget threaded
   through the whole flow via a contextvar, raising a typed
@@ -12,6 +12,9 @@ Four small parts (docs/robustness.md has the full story):
   prove every recovery path actually recovers;
 * :mod:`repro.resilience.checkpoint` — per-entry JSONL journals making
   experiment sweeps crash-isolated and resumable;
+* :mod:`repro.resilience.isolation` — one call in a fresh worker
+  process, killed on timeout: the attempt both the service and the
+  sweeps make;
 * :mod:`repro.resilience.atomic` — the shared crash-safe
   ``write-tmp → fsync → rename`` helper every durable JSON write uses.
 """

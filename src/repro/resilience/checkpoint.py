@@ -8,9 +8,10 @@ appends one JSON record per finished entry — success or permanent failure
 loses at most the entry in flight.
 
 ``run_table1``/``run_fig5`` consume it: ``--resume`` skips entries whose
-latest record is a success (failed entries are retried), and because JSON
-floats round-trip exactly, a resumed sweep reproduces byte-identical
-tables.
+latest record is a success (failed and quarantined entries run again),
+and because JSON floats round-trip exactly, a resumed sweep reproduces
+byte-identical tables.  Entries run in worker processes, but only the
+sweep's parent process appends.
 """
 
 from __future__ import annotations

@@ -44,10 +44,10 @@ FAULT_POINTS = (
     "thermal_divergence", # thermal solve returns non-finite temperatures
     "annealing_nan",      # annealing move cost evaluates to NaN
     # Sweep-worker faults: the decision is taken in the *parent* at
-    # submission time (forked workers would each count hits from zero, so
+    # dispatch time (forked workers would each count hits from zero, so
     # ``worker_crash@N`` would be nondeterministic); the flag rides into
-    # the worker, which then dies (``os._exit``) or hangs.  Exercised by
-    # the supervised pool in repro.report.experiments.
+    # the worker, which then dies (``os._exit``) or hangs.  Applied by
+    # repro.resilience.isolation.run_isolated for each sweep entry.
     "worker_crash",       # sweep worker exits hard mid-entry (segfault/OOM)
     "worker_hang",        # sweep worker hangs inside a native call
     # Service-layer faults (repro.service): like worker faults, the

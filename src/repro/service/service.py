@@ -5,8 +5,9 @@ talks to: requests come in (HTTP via :mod:`repro.service.server`, or this
 class directly), pass **admission control**, are journaled durably,
 deduplicated against the **persistent artifact cache** and against
 identical **in-flight** work, and execute on crash-isolated single-worker
-process pools with retry, exponential backoff and quarantine — the same
-supervision discipline as the PR 5 sweep supervisor, applied per request.
+process pools with retry, exponential backoff and quarantine — each
+attempt through :func:`~repro.resilience.isolation.run_isolated`, the
+same call the Table I sweep makes per entry.
 
 Robustness contract:
 
@@ -31,13 +32,12 @@ from __future__ import annotations
 import asyncio
 import pathlib
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from repro.errors import ServiceError
+from repro.errors import ServiceError, WorkerLostError
 from repro.obs import counter, event, get_logger, replay_records
 from repro.resilience.faults import should_inject
+from repro.resilience.isolation import run_isolated
 from repro.service.admission import AdmissionConfig, AdmissionController
 from repro.service.cache import ArtifactCache
 from repro.service.jobs import (
@@ -51,7 +51,7 @@ from repro.service.jobs import (
     new_job_id,
 )
 from repro.service.request import FloorplanRequest
-from repro.service.worker import die_with_parent, execute_request
+from repro.service.worker import execute_request
 
 _log = get_logger("service")
 
@@ -326,44 +326,23 @@ class FloorplanService:
     async def _attempt(
         self, job: Job, inject: str | None
     ) -> tuple[dict | None, str]:
-        """One crash-isolated attempt on a fresh single-worker pool.
+        """One crash-isolated attempt on a fresh single-worker process.
 
         Returns ``(outcome, "")`` on a worker that returned at all, or
-        ``(None, reason)`` for hard deaths (crash, kill, timeout).
+        ``(None, reason)`` for hard deaths (crash, kill, timeout).  On
+        service shutdown the worker is killed and the job stays
+        ``accepted`` in the journal for the next incarnation.
         """
-        pool = ProcessPoolExecutor(max_workers=1, initializer=die_with_parent)
         try:
-            future = pool.submit(
-                execute_request, job.request.to_dict(), inject
+            outcome = await run_isolated(
+                execute_request, (job.request.to_dict(),),
+                self.config.attempt_timeout_s, inject,
             )
-            try:
-                outcome = await asyncio.wait_for(
-                    asyncio.wrap_future(future),
-                    timeout=self.config.attempt_timeout_s,
-                )
-                return outcome, ""
-            except asyncio.TimeoutError:
-                self._kill_pool(pool)
+        except WorkerLostError as lost:
+            if lost.timed_out:
                 counter("service.worker_timeouts").inc()
-                return None, (
-                    f"attempt exceeded {self.config.attempt_timeout_s:.1f}s; "
-                    "worker killed"
-                )
-            except BrokenProcessPool:
-                return None, "worker process died mid-job"
-            except asyncio.CancelledError:
-                # Service shutdown while a solve is in flight: kill the
-                # worker so nothing outlives the service; the job stays
-                # 'accepted' in the journal for the next incarnation.
-                self._kill_pool(pool)
-                raise
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        for process in list(pool._processes.values()):
-            process.kill()
+            return None, str(lost)
+        return outcome, ""
 
     # -- terminal transitions --------------------------------------------------
     def _complete(

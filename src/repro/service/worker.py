@@ -8,47 +8,18 @@ service's contract — a served artifact is bit-identical to the one-shot
 CLI's — holds *because* this module shares that code path rather than
 approximating it.
 
-The parent decides fault injection at dispatch time (forked workers each
-restart hit counters from zero, so a worker-side ``should_inject`` would
-make ``service_worker_crash@N`` nondeterministic); the verdict rides in
-as the ``inject`` flag, exactly like the sweep supervisor's workers.
+The service runs :func:`execute_request` through
+:func:`repro.resilience.isolation.run_isolated`, which also applies the
+parent's ``service_worker_crash`` verdict in the worker.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.errors import ReproError
 from repro.obs import CollectorSink, attached, clear_sinks, span
 from repro.service.request import FloorplanRequest
-
-#: Exit code of a fault-injected worker crash (mirrors the sweep
-#: supervisor's recognisable hard-death code).
-CRASH_EXIT_CODE = 86
-
-
-def die_with_parent() -> None:
-    """Pool initializer: tie the worker's lifetime to the service's.
-
-    A SIGTERM drain kills pools explicitly, but SIGKILL can't be caught —
-    without this, workers forked before a ``kill -9`` would outlive the
-    dead service as idle orphans.  On Linux, ``PR_SET_PDEATHSIG`` makes
-    the kernel deliver SIGKILL to the worker when the parent dies; the
-    ``getppid`` check closes the race where the parent died between the
-    fork and the prctl (the worker is already reparented, so the death
-    signal would never arrive).
-    """
-    try:
-        import ctypes
-
-        libc = ctypes.CDLL("libc.so.6", use_errno=True)
-        PR_SET_PDEATHSIG = 1
-        libc.prctl(PR_SET_PDEATHSIG, 9)  # SIGKILL
-        if os.getppid() == 1:
-            os._exit(CRASH_EXIT_CODE)
-    except Exception:  # pragma: no cover - non-Linux platforms
-        pass
 
 
 def materialize(request: FloorplanRequest):
@@ -88,19 +59,12 @@ def run_request(request: FloorplanRequest) -> dict:
     This *is* the one-shot CLI pipeline; tests compare service-served
     artifacts against this function's output for bit-identity.
     """
-    from repro.core.algorithm1 import Algorithm1Config
-    from repro.core.flow import AgingAwareFlow, FlowConfig
-    from repro.core.remap import RemapConfig
+    from repro.core.flow import AgingAwareFlow, flow_config
     from repro.io.serialize import flow_summary_to_dict
     from repro.resilience.deadline import Deadline
 
     design, fabric = materialize(request)
-    config = FlowConfig(
-        algorithm1=Algorithm1Config(
-            mode=request.mode,
-            remap=RemapConfig(time_limit_s=request.time_limit_s),
-        )
-    )
+    config = flow_config(request.mode, request.time_limit_s)
     deadline = (
         Deadline.after(request.deadline_s)
         if request.deadline_s is not None
@@ -137,7 +101,7 @@ def comparable_view(document):
     return document
 
 
-def execute_request(request_dict: dict, inject: str | None = None) -> dict:
+def execute_request(request_dict: dict) -> dict:
     """Process-pool body of one service job.
 
     Runs in a forked worker: inherited sinks are dropped (their file
@@ -147,10 +111,6 @@ def execute_request(request_dict: dict, inject: str | None = None) -> dict:
     :class:`ReproError` comes back as a typed error payload, anything
     else propagates (and surfaces parent-side as a job failure).
     """
-    if inject == "crash":
-        os._exit(CRASH_EXIT_CODE)
-    if inject == "hang":  # pragma: no cover - exercised via kill paths
-        time.sleep(3600.0)
     clear_sinks()
     collector = CollectorSink()
     request = FloorplanRequest.from_dict(request_dict)

@@ -95,57 +95,6 @@ class TestFlowAndBench:
         assert "error" in capsys.readouterr().err
 
 
-class TestBenchPerfHarness:
-    @pytest.fixture(scope="class")
-    def bench_record(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("bench") / "base.json"
-        code = main([
-            "bench", "run", "--benchmarks", "B1", "--time-limit", "10",
-            "-o", str(path),
-        ])
-        assert code == 0
-        return path
-
-    def test_run_writes_schema_versioned_record(self, bench_record, capsys):
-        data = json.loads(bench_record.read_text())
-        assert data["kind"] == "bench_record"
-        assert data["bench_schema"] == "repro.bench/1"
-        entry = data["entries"]["B1"]
-        assert entry["wall_s"] > 0
-        assert entry["solver"]["solves"] > 0
-        assert "stages" in entry
-
-    def test_compare_self_passes(self, bench_record, capsys):
-        assert main([
-            "bench", "compare", str(bench_record), str(bench_record),
-        ]) == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_compare_fails_on_synthetic_slowdown(
-        self, bench_record, tmp_path, capsys
-    ):
-        slowed = json.loads(bench_record.read_text())
-        for entry in slowed["entries"].values():
-            entry["wall_s"] = entry["wall_s"] * 3.0 + 1.0
-        slow_path = tmp_path / "slow.json"
-        slow_path.write_text(json.dumps(slowed))
-        assert main([
-            "bench", "compare", str(bench_record), str(slow_path),
-        ]) == 3
-        assert "REGRESSIONS" in capsys.readouterr().out
-
-    def test_warn_only_downgrades_exit(self, bench_record, tmp_path, capsys):
-        slowed = json.loads(bench_record.read_text())
-        for entry in slowed["entries"].values():
-            entry["wall_s"] = entry["wall_s"] * 3.0 + 1.0
-        slow_path = tmp_path / "slow.json"
-        slow_path.write_text(json.dumps(slowed))
-        assert main([
-            "bench", "compare", str(bench_record), str(slow_path),
-            "--warn-only",
-        ]) == 0
-
-
 class TestTraceAndProfile:
     def test_trace_summarize_shows_convergence_table(
         self, kernel_file, tmp_path, capsys

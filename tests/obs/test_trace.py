@@ -216,7 +216,7 @@ class TestSweepVerdicts:
     def test_worst_signal_wins(self):
         records = [
             _span_record("table1_entry", benchmark="B1"),
-            _event_record("sweep.retry", entry="B1", attempt=1),
+            _event_record("sweep.entry_timeout", entry="B1", strikes=1),
             _span_record("table1_entry", benchmark="B2"),
             _event_record("sweep.worker_crash", entry="B2", strikes=1),
             _event_record("sweep.quarantined", entry="B2", strikes=2),

@@ -5,11 +5,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.report.experiments import (
-    ExperimentConfig,
-    QUICK_MAX_FABRIC,
-    flow_config,
-)
+from repro.core.algorithm1 import Algorithm1Config
+from repro.core.flow import flow_config
+from repro.report.experiments import ExperimentConfig, QUICK_MAX_FABRIC
 
 
 class TestExperimentConfig:
@@ -54,6 +52,42 @@ class TestFlowConfig:
         config = flow_config("rotate", 10.0, certify=False)
         assert config.algorithm1.certify is False
         assert ExperimentConfig().certify is True
+
+    def test_drivers_use_the_default_iteration_budget(self, monkeypatch):
+        """Table I, Fig. 2a and Fig. 2b run Algorithm 1 with the budget
+        every other runner uses, so one design gets one answer."""
+        import repro.report.experiments as experiments
+        from repro.benchgen.suite import entry
+
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        class RecordingFlow(experiments.AgingAwareFlow):
+            def __init__(self, config=None):
+                super().__init__(config)
+                seen.append(self.config)
+
+            def phase1(self, design, fabric):
+                raise Stop
+
+            def run(self, design, fabric, deadline=None):
+                raise Stop
+
+        monkeypatch.setattr(experiments, "AgingAwareFlow", RecordingFlow)
+        for driver in (
+            lambda: experiments.measure_benchmark(
+                entry("B1"), ExperimentConfig()
+            ),
+            lambda: experiments.run_fig2a(log=lambda line: None),
+            lambda: experiments.run_fig2b(log=lambda line: None),
+        ):
+            with pytest.raises(Stop):
+                driver()
+        assert len(seen) == 3
+        budget = Algorithm1Config().max_iterations
+        assert [c.algorithm1.max_iterations for c in seen] == [budget] * 3
 
 
 class TestParallelSweep:
@@ -107,10 +141,10 @@ class TestParallelSweep:
         assert sorted(records(resume_ckpt), key=by_entry) == serial_records
 
 
-def _fast_measure(entry, config, seed=None):
+def _fast_measure(entry, config):
     """Instant deterministic stand-in for measure_benchmark.
 
-    Patched into the experiments module before the pool forks, so workers
+    Patched into the experiments module before the workers fork, so they
     inherit it — supervisor tests then exercise crash/hang/retry paths in
     milliseconds instead of real MILP runs.
     """
@@ -135,12 +169,19 @@ def _checkpoint_statuses(path):
 
 
 class TestSupervisedSweep:
+    """Worker crash, repeat crash and hang recovery at ``--jobs 2``.
+
+    :class:`TestSupervisedSweepSerial` runs the same tests at ``--jobs
+    1``: every entry runs in its own worker process at any width.
+    """
+
+    jobs = 2
+
     @pytest.fixture(autouse=True)
     def fast_supervisor(self, monkeypatch):
         import repro.report.experiments as experiments
 
         monkeypatch.setattr(experiments, "_CRASH_BACKOFF_BASE_S", 0.01)
-        monkeypatch.setattr(experiments, "_POLL_INTERVAL_S", 0.05)
         monkeypatch.setattr(
             experiments, "measure_benchmark", _fast_measure
         )
@@ -149,7 +190,7 @@ class TestSupervisedSweep:
         defaults = dict(
             scale="quick",
             only=["B1", "B4"],
-            jobs=2,
+            jobs=self.jobs,
             checkpoint=str(tmp_path / "sweep.jsonl"),
         )
         defaults.update(overrides)
@@ -166,7 +207,7 @@ class TestSupervisedSweep:
         assert [m.entry.name for m in rows] == ["B1", "B4"]
         statuses = _checkpoint_statuses(config.checkpoint)
         # The injected entry dies, gets a "failed" record, and its
-        # isolated retry lands the "ok" — the sweep never aborts.
+        # retry in a fresh worker lands the "ok" — the sweep never aborts.
         assert statuses["B1"][0] == "failed"
         assert statuses["B1"][-1] == "ok"
         assert statuses["B4"][-1] == "ok"
@@ -211,12 +252,35 @@ class TestSupervisedSweep:
         ]
         assert any("timeout" in record["error"] for record in failed)
 
+    def test_worker_traces_merge_into_the_parent(self, tmp_path):
+        from repro.obs import CollectorSink, attached
+        from repro.obs.trace import summarize_records
+        from repro.report.experiments import run_table1
+        from repro.resilience.faults import fault_scope
+
+        collector = CollectorSink()
+        with attached(collector), fault_scope("worker_crash@1"):
+            run_table1(self._config(tmp_path), log=lambda line: None)
+        entry_spans = [
+            record["attrs"]["benchmark"]
+            for record in collector.records
+            if record["type"] == "span" and record["name"] == "table1_entry"
+        ]
+        # The crashed attempt returns no records; its retry and B4 do.
+        assert sorted(entry_spans) == ["B1", "B4"]
+        summary = summarize_records(collector.records)
+        assert summary.sweep_entries == {"B1": "retried", "B4": "ok"}
+
     @staticmethod
     def _records(path):
         import json
 
         with open(path) as handle:
             return [json.loads(line) for line in handle]
+
+
+class TestSupervisedSweepSerial(TestSupervisedSweep):
+    jobs = 1
 
 
 class TestCliParsing:

@@ -1,4 +1,4 @@
-"""Sweep checkpoints: durability, resume, retry, keep-going semantics."""
+"""Sweep checkpoints: durability, resume, failure, keep-going semantics."""
 
 from __future__ import annotations
 
@@ -6,11 +6,7 @@ import pytest
 
 import repro.report.experiments as experiments
 from repro.errors import FlowError, SweepError
-from repro.report.experiments import (
-    ExperimentConfig,
-    RETRY_SEED_STRIDE,
-    run_table1,
-)
+from repro.report.experiments import ExperimentConfig, run_table1
 from repro.report.paper import BenchmarkMeasurement
 from repro.resilience import CheckpointError, SweepCheckpoint
 
@@ -181,13 +177,18 @@ class TestConcurrentAppend:
         assert [p.name for p in tmp_path.iterdir()] == ["cp.jsonl"]
 
 
-def _stub_measurement(entry, seed: int) -> BenchmarkMeasurement:
-    """Deterministic fake measurement: value encodes (entry, seed)."""
+def _stub_measurement(entry, config) -> BenchmarkMeasurement:
+    """Deterministic fake measurement: value encodes (entry, seed).
+
+    Sweep entries run in forked worker processes, so a stub cannot count
+    its calls in the parent; the tests read the checkpoint instead, which
+    gains one record per measured entry.
+    """
     base = float(sum(ord(c) for c in entry.name))
     return BenchmarkMeasurement(
         entry=entry,
-        freeze_increase=base + seed * 1e-6,
-        rotate_increase=base / 2.0 + seed * 1e-6,
+        freeze_increase=base + config.seed * 1e-6,
+        rotate_increase=base / 2.0 + config.seed * 1e-6,
     )
 
 
@@ -196,6 +197,11 @@ def _table(measurements: list[BenchmarkMeasurement]) -> list[tuple]:
         (m.entry.name, m.freeze_increase, m.rotate_increase)
         for m in measurements
     ]
+
+
+def _entries(config: ExperimentConfig) -> list[str]:
+    """Entry names of the checkpoint's records, in append order."""
+    return [r["entry"] for r in SweepCheckpoint(config.checkpoint).records()]
 
 
 @pytest.fixture
@@ -216,13 +222,7 @@ class TestRunTable1Checkpointing:
     def test_clean_sweep_checkpoints_every_entry(
         self, sweep_config, monkeypatch
     ):
-        monkeypatch.setattr(
-            experiments,
-            "measure_benchmark",
-            lambda entry, config, seed=None: _stub_measurement(
-                entry, config.seed if seed is None else seed
-            ),
-        )
+        monkeypatch.setattr(experiments, "measure_benchmark", _stub_measurement)
         config = sweep_config()
         measurements = run_table1(config, log=lambda *_: None)
         assert [m.entry.name for m in measurements] == ["B1", "B2", "B4"]
@@ -233,17 +233,9 @@ class TestRunTable1Checkpointing:
     def test_resume_skips_completed_and_reproduces_table(
         self, sweep_config, monkeypatch
     ):
-        calls: list[str] = []
-
-        def tracking_stub(entry, config, seed=None):
-            calls.append(entry.name)
-            return _stub_measurement(
-                entry, config.seed if seed is None else seed
-            )
-
-        monkeypatch.setattr(experiments, "measure_benchmark", tracking_stub)
+        monkeypatch.setattr(experiments, "measure_benchmark", _stub_measurement)
         full = run_table1(sweep_config(), log=lambda *_: None)
-        assert calls == ["B1", "B2", "B4"]
+        assert _entries(sweep_config()) == ["B1", "B2", "B4"]
 
         # Simulate a crash after B1: keep only its checkpoint record.
         crashed = sweep_config()
@@ -252,25 +244,20 @@ class TestRunTable1Checkpointing:
         cp.reset()
         cp.append(b1_record)
 
-        calls.clear()
         resumed = run_table1(
             sweep_config(resume=True), log=lambda *_: None
         )
-        assert calls == ["B2", "B4"]  # B1 restored, not re-measured
+        # B1 restored, not re-measured: it keeps its single record.
+        assert _entries(crashed) == ["B1", "B2", "B4"]
         assert _table(resumed) == _table(full)
 
     def test_resume_without_checkpoint_runs_everything(
         self, sweep_config, monkeypatch
     ):
-        calls: list[str] = []
-
-        def tracking_stub(entry, config, seed=None):
-            calls.append(entry.name)
-            return _stub_measurement(entry, seed or 0)
-
-        monkeypatch.setattr(experiments, "measure_benchmark", tracking_stub)
-        run_table1(sweep_config(resume=True), log=lambda *_: None)
-        assert calls == ["B1", "B2", "B4"]
+        monkeypatch.setattr(experiments, "measure_benchmark", _stub_measurement)
+        config = sweep_config(resume=True)
+        run_table1(config, log=lambda *_: None)
+        assert _entries(config) == ["B1", "B2", "B4"]
 
     def test_fresh_run_resets_stale_checkpoint(
         self, sweep_config, monkeypatch
@@ -279,48 +266,32 @@ class TestRunTable1Checkpointing:
         cp = SweepCheckpoint(config.checkpoint)
         cp.append({"entry": "B1", "status": "ok", "seed": 99,
                    "freeze_increase": 0.0, "rotate_increase": 0.0})
-        monkeypatch.setattr(
-            experiments,
-            "measure_benchmark",
-            lambda entry, config, seed=None: _stub_measurement(entry, 0),
-        )
+        monkeypatch.setattr(experiments, "measure_benchmark", _stub_measurement)
         run_table1(config, log=lambda *_: None)  # resume=False
         assert cp.latest()["B1"]["seed"] == 0  # stale record gone
 
 
+def _broken_b2(entry, config):
+    if entry.name == "B2":
+        raise FlowError("always broken")
+    return _stub_measurement(entry, config)
+
+
+def _cluster_outage(entry, config):
+    raise FlowError("cluster outage")
+
+
 class TestRetrySemantics:
-    def test_transient_failure_retries_with_perturbed_seed(
-        self, sweep_config, monkeypatch
-    ):
-        seeds: dict[str, list[int]] = {}
-
-        def flaky_stub(entry, config, seed=None):
-            seed = config.seed if seed is None else seed
-            seeds.setdefault(entry.name, []).append(seed)
-            if entry.name == "B2" and len(seeds["B2"]) == 1:
-                raise FlowError("transient solver hiccup")
-            return _stub_measurement(entry, seed)
-
-        monkeypatch.setattr(experiments, "measure_benchmark", flaky_stub)
-        config = sweep_config(retries=1)
-        measurements = run_table1(config, log=lambda *_: None)
-        assert [m.entry.name for m in measurements] == ["B1", "B2", "B4"]
-        assert seeds["B2"] == [0, RETRY_SEED_STRIDE]
-        record = SweepCheckpoint(config.checkpoint).completed()["B2"]
-        assert record["seed"] == RETRY_SEED_STRIDE
-
     def test_permanent_failure_aborts_by_default(
         self, sweep_config, monkeypatch
     ):
-        def broken_stub(entry, config, seed=None):
-            if entry.name == "B2":
-                raise FlowError("always broken")
-            return _stub_measurement(entry, seed or 0)
-
-        monkeypatch.setattr(experiments, "measure_benchmark", broken_stub)
+        monkeypatch.setattr(experiments, "measure_benchmark", _broken_b2)
         config = sweep_config(retries=1)
-        with pytest.raises(SweepError, match="B2.*2 attempt"):
+        with pytest.raises(SweepError, match="B2.*1 attempt"):
             run_table1(config, log=lambda *_: None)
+        # A typed failure is deterministic for its inputs: one attempt,
+        # no retry, and the sweep stops before B4.
+        assert _entries(config) == ["B1", "B2"]
         latest = SweepCheckpoint(config.checkpoint).latest()
         assert latest["B1"]["status"] == "ok"  # finished before the abort
         assert latest["B2"]["status"] == "failed"
@@ -329,23 +300,14 @@ class TestRetrySemantics:
     def test_keep_going_records_failure_and_continues(
         self, sweep_config, monkeypatch
     ):
-        def broken_stub(entry, config, seed=None):
-            if entry.name == "B2":
-                raise FlowError("always broken")
-            return _stub_measurement(entry, seed or 0)
-
-        monkeypatch.setattr(experiments, "measure_benchmark", broken_stub)
+        monkeypatch.setattr(experiments, "measure_benchmark", _broken_b2)
         lines: list[str] = []
         config = sweep_config(retries=0, keep_going=True)
         measurements = run_table1(config, log=lines.append)
         assert [m.entry.name for m in measurements] == ["B1", "B4"]
         assert any("failed permanently: B2" in line for line in lines)
         # A later --resume run retries the failed entry only.
-        monkeypatch.setattr(
-            experiments,
-            "measure_benchmark",
-            lambda entry, config, seed=None: _stub_measurement(entry, 0),
-        )
+        monkeypatch.setattr(experiments, "measure_benchmark", _stub_measurement)
         resumed = run_table1(
             sweep_config(resume=True, keep_going=True), log=lambda *_: None
         )
@@ -354,10 +316,7 @@ class TestRetrySemantics:
     def test_all_entries_failing_tabulates_nothing(
         self, sweep_config, monkeypatch
     ):
-        def broken_stub(entry, config, seed=None):
-            raise FlowError("cluster outage")
-
-        monkeypatch.setattr(experiments, "measure_benchmark", broken_stub)
+        monkeypatch.setattr(experiments, "measure_benchmark", _cluster_outage)
         lines: list[str] = []
         measurements = run_table1(
             sweep_config(retries=0, keep_going=True), log=lines.append

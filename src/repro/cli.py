@@ -61,9 +61,8 @@ from repro.benchgen.sources import KERNELS, kernel_source
 from repro.benchgen.suite import entry as suite_entry
 from repro.benchgen.synth import build_benchmark
 from repro.core.algorithm1 import run_algorithm1
-from repro.core.flow import AgingAwareFlow, FlowConfig, flow_config
+from repro.core.flow import AgingAwareFlow, flow_config
 from repro.errors import ReproError
-from repro.explain import set_explain
 from repro.hls.lower import compile_source
 from repro.hls.schedule import schedule_dfg
 from repro.hls.allocate import tech_map
@@ -93,8 +92,7 @@ from repro.resilience.deadline import Deadline
 
 
 def _deadline_of(args) -> Deadline | None:
-    seconds = getattr(args, "deadline", None)
-    return Deadline.after(seconds) if seconds is not None else None
+    return Deadline.after(args.deadline) if args.deadline is not None else None
 
 
 def _parse_fabric(text: str) -> Fabric:
@@ -134,13 +132,6 @@ def _metrics_rows() -> list[list[object]]:
     return rows
 
 
-def _flow_config(args) -> FlowConfig:
-    return flow_config(
-        args.mode, args.time_limit,
-        certify=not getattr(args, "no_certify", False),
-    )
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -173,7 +164,8 @@ def cmd_remap(args) -> int:
     design = load_design(args.design)
     original = load_floorplan(args.floorplan)
     result = run_algorithm1(
-        design, original.fabric, original, _flow_config(args).algorithm1,
+        design, original.fabric, original,
+        flow_config(args.mode, args.time_limit).algorithm1,
         deadline=_deadline_of(args),
     )
     save_floorplan(result.floorplan, args.output)
@@ -221,7 +213,7 @@ def cmd_flow(args) -> int:
     with span("hls_compile", kernel=name):
         dfg = compile_source(source, name)
         design = tech_map(schedule_dfg(dfg, capacity=fabric.num_pes))
-    result = AgingAwareFlow(_flow_config(args)).run(
+    result = AgingAwareFlow(flow_config(args.mode, args.time_limit)).run(
         design, fabric, deadline=_deadline_of(args)
     )
     print(format_mapping(f"flow: {name}", {
@@ -243,7 +235,7 @@ def cmd_bench(args) -> int:
     if args.scaled:
         bench = bench.scaled(args.scaled)
     design, fabric = build_benchmark(bench.spec())
-    result = AgingAwareFlow(_flow_config(args)).run(
+    result = AgingAwareFlow(flow_config(args.mode, args.time_limit)).run(
         design, fabric, deadline=_deadline_of(args)
     )
     reference = bench.freeze_ref if args.mode == "freeze" else bench.rotate_ref
@@ -530,7 +522,6 @@ def cmd_serve(args) -> int:
         retries=args.retries,
         attempt_timeout_s=args.attempt_timeout,
         drain_grace_s=args.drain_grace,
-        certify_cached=not args.no_certify_cache,
         admission=AdmissionConfig(
             max_queue=args.max_queue,
             tenant_queue=args.tenant_queue,
@@ -601,11 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="repro.* stderr logger level (default: warning)",
     )
     obs_flags.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget for the whole command; on expiry the flow "
-        "degrades gracefully instead of running on (default: unlimited)",
-    )
-    obs_flags.add_argument(
         "--solver-progress", action="store_true",
         help="live stderr progress line (incumbent/bound/gap/nodes) during "
         "long MILP solves",
@@ -615,18 +601,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="cProfile the command, write pstats to FILE and print the "
         "top cumulative-time hotspots",
     )
-    obs_flags.add_argument(
-        "--no-explain", action="store_true",
-        help="disable solve diagnostics (binding attribution, IIS "
-        "extraction, explain events; on by default — docs/observability.md)",
-    )
 
-    # Certification opt-out, shared by the Algorithm-1-running commands.
-    cert_flags = argparse.ArgumentParser(add_help=False)
-    cert_flags.add_argument(
-        "--no-certify", action="store_true",
-        help="skip the independent certification of accepted MILP "
-        "solutions (on by default; see docs/robustness.md)",
+    # The wall-clock budget of the flow-running commands; a served job's
+    # budget is its request's ``deadline_s``.
+    flow_flags = argparse.ArgumentParser(add_help=False)
+    flow_flags.add_argument(
+        "--deadline", type=float, default=None, metavar="SECONDS",
+        help="wall-clock budget for the whole command; on expiry the flow "
+        "degrades gracefully instead of running on (default: unlimited)",
     )
 
     p = sub.add_parser("compile", help="mini-C -> mapped design JSON")
@@ -643,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "remap", help="aging-aware re-mapping (Algorithm 1)",
-        parents=[obs_flags, cert_flags],
+        parents=[obs_flags, flow_flags],
     )
     p.add_argument("design")
     p.add_argument("floorplan")
@@ -659,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "flow", help="full Phase 1 + Phase 2 on a kernel",
-        parents=[obs_flags, cert_flags],
+        parents=[obs_flags, flow_flags],
     )
     p.add_argument("source")
     p.add_argument("--fabric", default="4x4")
@@ -673,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = bsub.add_parser(
         "one", help="run one Table I benchmark",
-        parents=[obs_flags, cert_flags],
+        parents=[obs_flags, flow_flags],
     )
     b.add_argument("name")
     b.add_argument("--scaled", type=int, default=None)
@@ -803,11 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--retry-after", type=float, default=1.0, metavar="SECONDS",
         help="base Retry-After hint for shed requests (default: 1)",
     )
-    p.add_argument(
-        "--no-certify-cache", action="store_true",
-        help="serve cached artifacts without re-certification "
-        "(integrity checksums still apply)",
-    )
     p.set_defaults(func=cmd_serve)
     return parser
 
@@ -847,8 +824,6 @@ def main(argv: list[str] | None = None) -> int:
     configure_logging(getattr(args, "log_level", "warning"))
     if getattr(args, "solver_progress", False):
         set_progress(True)
-    if getattr(args, "no_explain", False):
-        set_explain(False)
     sink = None
     trace_path = getattr(args, "trace", None)
     if trace_path:
@@ -875,8 +850,6 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if getattr(args, "solver_progress", False):
             set_progress(None)
-        if getattr(args, "no_explain", False):
-            set_explain(None)
         if sink is not None:
             remove_sink(sink)
             sink.write_metrics(registry().snapshot())

@@ -35,7 +35,6 @@ from repro.core.flow import (
 from repro.core.remap import (
     RemapConfig,
     RemapOutcome,
-    WarmStart,
     build_remap_model,
     default_candidates,
     frozen_stress_by_pe,
@@ -70,7 +69,6 @@ __all__ = [
     "RemapVariables",
     "RotationSet",
     "StressTargetResult",
-    "WarmStart",
     "add_assignment_variables",
     "add_exclusivity_constraints",
     "add_path_constraints",

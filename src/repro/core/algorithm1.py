@@ -33,7 +33,6 @@ from repro.arch.fabric import Fabric
 from repro.core.remap import (
     GreedyContext,
     RemapConfig,
-    WarmStart,
     add_lazy_path_rows,
     build_remap_model,
     default_candidates,
@@ -55,7 +54,6 @@ from repro.errors import (
     FlowError,
     SolverError,
 )
-from repro.explain import explain_enabled
 from repro.hls.allocate import MappedDesign
 from repro.milp.scipy_backend import ScipyBackend
 from repro.milp.status import SolveStatus
@@ -102,12 +100,6 @@ class Algorithm1Config:
     remap: RemapConfig = field(default_factory=RemapConfig)
     #: Allow ST_target to exceed ST_up by this factor before giving up.
     st_ceiling_factor: float = 1.5
-    #: Independently certify every accepted floorplan (:mod:`repro.verify`):
-    #: row-by-row feasibility against the uncompiled model plus
-    #: first-principles stress/slot/frozen/CPD re-checks.  A failure
-    #: triggers one cold-rebuild re-solve (catching silent restamp or
-    #: warm-fixing corruption) before the degradation ladder engages.
-    certify: bool = True
 
 
 @dataclass
@@ -137,11 +129,11 @@ class RemapResult:
     alg1: Algorithm1Stats = field(default_factory=Algorithm1Stats)
     #: Independent-certification verdict for ``floorplan``: ``True`` when
     #: the accepted MILP result passed :mod:`repro.verify`; ``None`` when
-    #: certification was disabled or the floorplan came from a non-MILP
-    #: ladder rung (greedy/original — nothing model-level to certify).  A
-    #: certification failure never returns ``False``: it raises
-    #: :class:`~repro.errors.CertificationError` internally and degrades,
-    #: with the reason recorded in ``stats["degradation_reason"]``.
+    #: the floorplan came from a non-MILP ladder rung (greedy/original —
+    #: nothing model-level to certify).  A certification failure never
+    #: returns ``False``: it raises :class:`~repro.errors.CertificationError`
+    #: internally and degrades, with the reason recorded in
+    #: ``stats["degradation_reason"]``.
     certified: bool | None = None
 
 
@@ -289,9 +281,7 @@ def _run_algorithm1(
         st_base = st_target = step1.st_target_ns
         relaxed = 0  # Delta-relaxations; a row round re-solves at the same count
         # The Eq. (3) model is assembled once and re-stamped with each
-        # relaxed ST_target; the warm hint (the previous pre-mapping)
-        # rides along between iterations of the same model.
-        warm: WarmStart | None = None
+        # relaxed ST_target.
         # Violated paths added as lazy rows, per adding iteration: a cold
         # rebuild of the model re-adds them.
         lazy_rows: list[tuple[int, list[MonitoredPath]]] = []
@@ -302,15 +292,13 @@ def _run_algorithm1(
             with span(
                 "iteration", index=iterations, st_target_ns=st_target
             ) as iter_span:
-                entry, model, variables, warm = _run_iteration(
+                entry, model, variables = _run_iteration(
                     design, fabric, original, config, backend, frozen,
                     candidates, monitored, cpd_orig, st_target, iterations, graphs,
-                    lazy_rows, model=model, variables=variables, warm=warm,
+                    lazy_rows, model=model, variables=variables,
                 )
                 iteration_log.append(entry)
                 iter_span.set(result=entry["result"])
-            if warm is not None:
-                warm.reason = entry["result"]
             alg1.record_iteration(
                 st_target, entry["result"], entry.get("rows_added", 0)
             )
@@ -318,7 +306,7 @@ def _run_algorithm1(
             alg1.cert_failures += entry.get("cert_failures", 0)
             alg1.cert_cold_rebuilds += int(entry.get("cert_cold_rebuild", False))
             _absorb_solve_stats(alg1, entry)
-            if entry["result"] != "accepted" and explain_enabled():
+            if entry["result"] != "accepted":
                 explanations.append(
                     _explain_iteration(design.name, entry, cpd_orig)
                 )
@@ -349,7 +337,7 @@ def _run_algorithm1(
             # terminal failure on the run-level aggregates directly.
             alg1.cert_failures += 1
 
-    if best is None and explain_enabled():
+    if best is None:
         # The relax loop ended without an accepted floorplan: record the
         # terminal root cause (and, when the last verdict was infeasible,
         # extract an IIS from the still-stamped model) before the
@@ -617,22 +605,18 @@ def _run_iteration(
     lazy_rows: list,
     model=None,
     variables=None,
-    warm: WarmStart | None = None,
 ) -> tuple:
     """One solve attempt of the relax loop.
 
     The Eq. (3) model is built on the first call and threaded back in by
     the caller afterwards: later iterations only re-stamp the ``st_target``
     RHS parameter on the cached lowering (:func:`restamp_remap_model`).
-    ``warm`` carries the previous iteration's pre-mapping (see
-    :class:`~repro.core.remap.WarmStart`); the caller stamps its ``reason``
-    with the iteration verdict before passing it back.
 
     On a CPD violation every path over the original CPD becomes an Eq. (5)
     row of the live model; the paths are appended to ``lazy_rows`` as
     ``(iteration, paths)`` so a cold rebuild can re-add them.
 
-    Returns ``(entry, model, variables, warm_out)``; ``entry["result"]``
+    Returns ``(entry, model, variables)``; ``entry["result"]``
     is one of ``accepted``, ``infeasible``, ``cpd_violation`` or
     ``frozen_budget_infeasible``, ``entry["rows_added"]`` counts the lazy
     rows it added, and an accepted entry additionally carries the
@@ -656,13 +640,13 @@ def _run_iteration(
                 "pe": getattr(exc, "pe_index", None),
                 "frozen_ns": getattr(exc, "frozen_ns", None),
             }
-            return entry, None, None, None
+            return entry, None, None
     else:
         restamp_remap_model(model, st_target)
         build_stats = {"restamped": True}
     outcome = solve_remap(
         model, variables, config.remap, backend,
-        _greedy_context(design, fabric, frozen, st_target), warm,
+        _greedy_context(design, fabric, frozen, st_target),
         retry_unfixed=True,
     )
     entry = {
@@ -672,26 +656,21 @@ def _run_iteration(
         **build_stats,
         **outcome.stats,
     }
-    warm_out = outcome.warm
     if not outcome.feasible:
         entry["result"] = "infeasible"
-        return entry, model, variables, warm_out
+        return entry, model, variables
     candidate_fp = outcome.floorplan(original, frozen)
     check_frozen_ops(original, candidate_fp, frozen.positions)
     with span("sta_verify"):
         new_report = analyze(design, candidate_fp, graphs)
     entry["new_cpd_ns"] = new_report.cpd_ns
     if new_report.cpd_ns <= cpd_orig + CPD_EPS:
-        if config.certify:
-            return _certify_accepted(
-                design, fabric, original, config, backend, frozen,
-                candidates, monitored, cpd_orig, st_target, iteration,
-                graphs, lazy_rows, entry, candidate_fp, outcome, model,
-                variables, warm_out,
-            )
-        entry["result"] = "accepted"
-        entry["floorplan"] = candidate_fp
-        return entry, model, variables, warm_out
+        return _certify_accepted(
+            design, fabric, original, config, backend, frozen,
+            candidates, monitored, cpd_orig, st_target, iteration,
+            graphs, lazy_rows, entry, candidate_fp, outcome, model,
+            variables,
+        )
     entry["result"] = "cpd_violation"
     paths = _violated_paths(
         candidate_fp, graphs, new_report, cpd_orig, config.max_paths
@@ -705,14 +684,13 @@ def _run_iteration(
         lazy_rows.append((iteration, paths))
         counter("algorithm1.lazy_path_rows").inc(added)
         entry["rows_added"] = added
-        if explain_enabled():
-            culprit = max(paths, key=lambda monitored: monitored.delay_ns)
-            entry["culprit"] = {
-                "context": culprit.path.context,
-                "ops": list(culprit.path.chain),
-                "delay_ns": culprit.delay_ns,
-            }
-    return entry, model, variables, warm_out
+        culprit = max(paths, key=lambda monitored: monitored.delay_ns)
+        entry["culprit"] = {
+            "context": culprit.path.context,
+            "ops": list(culprit.path.chain),
+            "delay_ns": culprit.delay_ns,
+        }
+    return entry, model, variables
 
 
 def _greedy_context(design, fabric, frozen: FrozenPlan, st_target: float):
@@ -744,18 +722,17 @@ def _certify_accepted(
     outcome,
     model,
     variables,
-    warm_out,
 ) -> tuple:
     """Trust-but-verify gate on an accepted iteration.
 
     The floorplan (and, when a backend solution exists, the solution
     itself) is re-checked by :mod:`repro.verify` — an independent code
-    path sharing nothing with the incremental compile/restamp/warm-fixing
-    machinery.  On failure, the Eq. (3) model is rebuilt **cold** (fresh
-    lowering, no warm fixing, the lazy path rows re-added) and re-solved
-    once: if the cold result certifies, the stale model state was corrupt
-    and the cold model replaces it for the remaining iterations.  If even
-    the cold path fails, a :class:`CertificationError` propagates to the
+    path sharing nothing with the incremental compile/restamp machinery.
+    On failure, the Eq. (3) model is rebuilt **cold** (fresh lowering, the
+    lazy path rows re-added) and re-solved once: if the cold result
+    certifies, the stale model state was corrupt and the cold model
+    replaces it for the remaining iterations.  If even the cold path
+    fails, a :class:`CertificationError` propagates to the
     degradation ladder.
     """
     from repro.verify.certifier import certify_remap
@@ -772,7 +749,7 @@ def _certify_accepted(
         entry["result"] = "accepted"
         entry["certified"] = True
         entry["floorplan"] = candidate_fp
-        return entry, model, variables, warm_out
+        return entry, model, variables
     entry["cert_failures"] = 1
     _log.warning(
         "%s: iteration %d failed certification; cold-rebuilding the model",
@@ -799,7 +776,7 @@ def _certify_accepted(
         )
     cold_outcome = solve_remap(
         cold_model, cold_vars, config.remap, backend,
-        _greedy_context(design, fabric, frozen, st_target), None,
+        _greedy_context(design, fabric, frozen, st_target),
         retry_unfixed=True,
     )
     if cold_outcome.feasible:
@@ -823,7 +800,7 @@ def _certify_accepted(
                 entry["floorplan"] = cold_fp
                 # The cold model supersedes the corrupt cached one for the
                 # rest of the relax loop.
-                return entry, cold_model, cold_vars, cold_outcome.warm
+                return entry, cold_model, cold_vars
     cert.raise_if_failed(f"{design.name} iteration {iteration}")
     raise CertificationError(  # pragma: no cover - raise_if_failed always raises
         f"{design.name} iteration {iteration} failed certification"

@@ -45,15 +45,9 @@ class FlowConfig:
     thermal_grid: ThermalGridConfig = field(default_factory=ThermalGridConfig)
     power: PowerModel = field(default_factory=PowerModel)
     nbti: NbtiModel = field(default_factory=NbtiModel)
-    #: Wall-clock budget for one :meth:`AgingAwareFlow.run` call, in
-    #: seconds.  ``None`` = unlimited.  An explicit ``deadline`` argument
-    #: to :meth:`~AgingAwareFlow.run` takes precedence.
-    deadline_s: float | None = None
 
 
-def flow_config(
-    mode: str, time_limit_s: float, certify: bool = True
-) -> FlowConfig:
+def flow_config(mode: str, time_limit_s: float) -> FlowConfig:
     """The flow configuration of one re-mapping mode, for every runner.
 
     The CLI, the service, the experiment drivers and the pytest-benchmark
@@ -63,9 +57,7 @@ def flow_config(
     """
     return FlowConfig(
         algorithm1=Algorithm1Config(
-            mode=mode,
-            certify=certify,
-            remap=RemapConfig(time_limit_s=time_limit_s),
+            mode=mode, remap=RemapConfig(time_limit_s=time_limit_s)
         )
     )
 
@@ -160,12 +152,15 @@ class AgingAwareFlow:
     ) -> tuple[FloorplanEvaluation, RemapResult]:
         """Aging-aware re-mapping and re-evaluation.
 
-        Resilient by construction: Algorithm 1 never raises on solver
-        failure or deadline expiry (its internal ladder degrades instead),
-        and if the *re-evaluation* of the re-mapped floorplan dies (budget
-        spent, thermal divergence) the original evaluation — already in
-        hand from Phase 1 — is substituted and the result is marked as
-        fully degraded.
+        Guarantee: the returned floorplan is never *worse* than the
+        original.  Algorithm 1 never raises on solver failure or deadline
+        expiry (its internal ladder degrades instead).  The original
+        evaluation, already in hand from Phase 1, is kept when the
+        *re-evaluation* of the re-mapped floorplan dies (budget spent,
+        thermal divergence), and when the re-mapped MTTF falls below the
+        baseline (e.g. Algorithm 1 relaxed ``ST_target`` past the original
+        maximum around an unlucky rotation); the result is then marked
+        as fully degraded and the MTTF increase is exactly 1.0.
         """
         with span("phase2"):
             remap = run_algorithm1(
@@ -179,7 +174,7 @@ class AgingAwareFlow:
                 # Nothing new to evaluate; also spares the remaining budget.
                 return original, remap
             try:
-                return self.evaluate(design, fabric, remap.floorplan), remap
+                remapped = self.evaluate(design, fabric, remap.floorplan)
             except (DeadlineExceededError, ThermalError) as exc:
                 counter("flow.phase2_recoveries").inc()
                 event(
@@ -193,56 +188,9 @@ class AgingAwareFlow:
                     "(%s: %s); keeping the original floorplan",
                     design.name, type(exc).__name__, exc,
                 )
-                remap = replace(
-                    remap,
-                    floorplan=original.floorplan,
-                    fell_back=True,
-                    final_cpd_ns=remap.original_cpd_ns,
-                    degradation="original",
-                )
-                return original, remap
-
-    # -- the whole flow -------------------------------------------------------
-    def run(
-        self,
-        design: MappedDesign,
-        fabric: Fabric,
-        deadline: Deadline | None = None,
-    ) -> FlowResult:
-        """Phase 1 + Phase 2 + MTTF comparison.
-
-        Guarantee: the returned floorplan is never *worse* than the
-        original.  When Algorithm 1 had to relax ``ST_target`` past the
-        original maximum (e.g. an unlucky rotation pinning hot PEs), the
-        re-mapped MTTF can fall below the baseline; the flow then keeps
-        the original floorplan and reports an increase of exactly 1.0.
-
-        ``deadline`` (or :attr:`FlowConfig.deadline_s`) bounds the whole
-        call with one wall-clock budget.  Phase 1 is mandatory — without a
-        baseline there is nothing to compare against — so it runs with
-        deadline checks *shielded* (recorded, never raised), while its
-        annealer still stops voluntarily on expiry.  Phase 2 runs
-        unshielded and degrades down the ladder instead of raising, so an
-        expired budget always still yields a valid (possibly degraded)
-        :class:`FlowResult`.
-        """
-        check_design_fits(design, fabric)
-        if deadline is None and self.config.deadline_s is not None:
-            deadline = Deadline.after(self.config.deadline_s)
-        with deadline_scope(deadline), span(
-            "flow", benchmark=design.name
-        ) as flow_span:
-            counter("flow.runs").inc()
-            with shielded():
-                original = self.phase1(design, fabric)
-            remapped, remap = self.phase2(design, fabric, original)
+                return original, _keep_original(remap, original)
             increase = mttf_increase(original.mttf, remapped.mttf)
             if increase < 1.0:
-                # The re-map lost lifetime (e.g. an unlucky rotation): keep
-                # the original floorplan.  The returned RemapResult is a
-                # copy — Algorithm 1's own result object stays untouched so
-                # callers holding it (experiments, benches) see what the
-                # solver actually produced.
                 counter("flow.fallbacks").inc()
                 event(
                     "flow.fallback",
@@ -255,22 +203,41 @@ class AgingAwareFlow:
                     design.name,
                     increase,
                 )
-                remap = replace(
-                    remap,
-                    floorplan=original.floorplan,
-                    fell_back=True,
-                    final_cpd_ns=remap.original_cpd_ns,
-                    degradation="original",
-                )
-                remapped = original
-                increase = 1.0
+                return original, _keep_original(remap, original)
+            return remapped, remap
+
+    # -- the whole flow -------------------------------------------------------
+    def run(
+        self,
+        design: MappedDesign,
+        fabric: Fabric,
+        deadline: Deadline | None = None,
+    ) -> FlowResult:
+        """Phase 1 + Phase 2 + MTTF comparison.
+
+        ``deadline`` bounds the whole call with one wall-clock budget.
+        Phase 1 is mandatory — without a baseline there is nothing to
+        compare against — so it runs with deadline checks *shielded*
+        (recorded, never raised), while its annealer still stops
+        voluntarily on expiry.  Phase 2 runs unshielded and degrades down
+        the ladder instead of raising, so an expired budget always still
+        yields a valid (possibly degraded) :class:`FlowResult`.
+        """
+        check_design_fits(design, fabric)
+        with deadline_scope(deadline), span(
+            "flow", benchmark=design.name
+        ) as flow_span:
+            counter("flow.runs").inc()
+            with shielded():
+                original = self.phase1(design, fabric)
+            remapped, remap = self.phase2(design, fabric, original)
             result = FlowResult(
                 design=design,
                 fabric=fabric,
                 original=original,
                 remapped=remapped,
                 remap=remap,
-                mttf_increase=increase,
+                mttf_increase=mttf_increase(original.mttf, remapped.mttf),
                 elapsed_s=flow_span.duration_s,
             )
         _log.info(
@@ -281,6 +248,23 @@ class AgingAwareFlow:
             result.remap.fell_back,
         )
         return result
+
+
+def _keep_original(
+    remap: RemapResult, original: FloorplanEvaluation
+) -> RemapResult:
+    """``remap`` re-pointed at the original floorplan (rung ``original``).
+
+    A copy: Algorithm 1's own result object stays untouched, so callers
+    holding it see what the solver actually produced.
+    """
+    return replace(
+        remap,
+        floorplan=original.floorplan,
+        fell_back=True,
+        final_cpd_ns=remap.original_cpd_ns,
+        degradation="original",
+    )
 
 
 def run_flow(

@@ -41,7 +41,7 @@ from repro.core.constraints import (
 )
 from repro.core.rotation import FrozenPlan
 from repro.errors import ModelError
-from repro.hls.allocate import MappedDesign
+from repro.hls.allocate import MappedDesign, topological_order
 from repro.milp.model import Model
 from repro.milp.rounding import (
     extract_assignment,
@@ -89,32 +89,12 @@ class RemapConfig:
 
 
 @dataclass
-class WarmStart:
-    """The pre-mapping hint carried across Algorithm 1's relax iterations.
-
-    ``fixing`` is the LP→ILP pre-mapped binding of the previous solve
-    (op → PE of every fixed one-hot group), valid across iterations
-    because the model — and therefore its ``Variable`` objects — is
-    reused; ``reason`` the verdict of the iteration that produced the
-    hint (the hint is only *acted* on after an ``"infeasible"`` verdict:
-    re-using the binding of a CPD-violating solve would just reproduce
-    the violation).
-    """
-
-    fixing: dict[int, int] = field(default_factory=dict)
-    reason: str = ""
-
-
-@dataclass
 class RemapOutcome:
     """Result of one re-mapping solve at a fixed ST_target."""
 
     feasible: bool
     assignment: dict[int, int] = field(default_factory=dict)  # movable op -> PE
     stats: dict = field(default_factory=dict)
-    #: Hint for the *next* solve of the same (re-stamped) model, when the
-    #: strategy produced one (two-step ILP paths only).
-    warm: "WarmStart | None" = None
     #: The backend :class:`~repro.milp.status.Solution` behind
     #: ``assignment``, when one exists — greedy completions assemble the
     #: binding without one.  Consumed by :mod:`repro.verify` to re-check
@@ -269,46 +249,6 @@ def restamp_remap_model(model: Model, st_target_ns: float) -> None:
     counter("milp.models_restamped").inc()
 
 
-def _apply_fixing(
-    model: Model, variables: RemapVariables, fixing: Mapping[int, int]
-) -> bool:
-    """Re-apply a previous iteration's pre-mapping (op → PE) to ``model``.
-
-    Validates the whole binding against the current candidate sets before
-    touching any bounds, so a stale hint leaves the model untouched.
-    Returns False when any op or PE is unknown.
-    """
-    resolved = []  # (group members, winner variable) per op
-    for op_id, pe_index in fixing.items():
-        members = variables.assign.get(op_id)
-        if members is None:
-            return False
-        winner = next((var for var, pe in members if pe == pe_index), None)
-        if winner is None:
-            return False
-        resolved.append((members, winner))
-    for members, winner in resolved:
-        model.fix_variable(winner, 1.0)
-        for var, _pe in members:
-            if var is not winner:
-                model.fix_variable(var, 0.0)
-    return True
-
-
-def _fixed_assignment(
-    model: Model, variables: RemapVariables
-) -> dict[int, int]:
-    """The op → PE binding currently pinned on ``model`` (LP pre-mapping)."""
-    fixed = model.fixed_variables
-    binding: dict[int, int] = {}
-    for op_id, members in variables.assign.items():
-        for var, pe_index in members:
-            if fixed.get(var) == 1.0:
-                binding[op_id] = pe_index
-                break
-    return binding
-
-
 @dataclass
 class GreedyContext:
     """Inputs the LP-guided greedy completion needs beyond the model.
@@ -342,8 +282,6 @@ def _greedy_complete(
     context combinational wires weigh most) minus ``lp_bias * LP mass``.
     Returns None on a dead end (caller falls back to the ILP).
     """
-    import heapq
-
     design, fabric = ctx.design, ctx.fabric
     stress = {pe: float(v) for pe, v in ctx.frozen_stress_ns.items()}
     slots: set[tuple[int, int]] = set()
@@ -378,34 +316,13 @@ def _greedy_complete(
             neighbors[src].append(((pad.row, pad.col), 0.5))
 
     # Context-major, chain-order placement sequence.
-    preds_in_context: dict[int, list[int]] = {op: [] for op in variables.assign}
-    for src, dst in design.compute_edges:
-        if (
-            dst in preds_in_context
-            and src in preds_in_context
-            and design.ops[src].context == design.ops[dst].context
-        ):
-            preds_in_context[dst].append(src)
     order: list[int] = []
     for context in range(design.num_contexts):
-        context_ops = sorted(
-            op for op in variables.assign
-            if design.ops[op].context == context
+        order += topological_order(
+            (op for op in variables.assign
+             if design.ops[op].context == context),
+            design.compute_edges,
         )
-        remaining = {op: len(preds_in_context[op]) for op in context_ops}
-        succs: dict[int, list[int]] = {op: [] for op in context_ops}
-        for op in context_ops:
-            for pred in preds_in_context[op]:
-                succs[pred].append(op)
-        ready = [op for op, count in remaining.items() if count == 0]
-        heapq.heapify(ready)
-        while ready:
-            op = heapq.heappop(ready)
-            order.append(op)
-            for succ in succs[op]:
-                remaining[succ] -= 1
-                if remaining[succ] == 0:
-                    heapq.heappush(ready, succ)
 
     assignment: dict[int, int] = {}
     for op_id in order:
@@ -448,17 +365,13 @@ def solve_remap(
     config: RemapConfig,
     backend: ScipyBackend | None = None,
     greedy_context: "GreedyContext | None" = None,
-    warm: "WarmStart | None" = None,
     retry_unfixed: bool = False,
 ) -> RemapOutcome:
     """Run the configured strategy on an assembled model.
 
     ``greedy_context`` enables the LP-guided greedy completion on large
     models (see :class:`GreedyContext`); without it the residual is always
-    solved as an ILP, exactly as in the paper.  ``warm`` carries the
-    previous iteration's pre-mapping when the same model is re-solved
-    after an ``ST_target`` re-stamp (see :class:`WarmStart`).
-    ``retry_unfixed`` enables the two-step unfixed retry (Algorithm 1's
+    solved as an ILP, exactly as in the paper.  ``retry_unfixed`` enables the two-step unfixed retry (Algorithm 1's
     relax loop; Step 1 keeps the cold pipeline).
     """
     backend = backend or config.make_backend()
@@ -466,8 +379,7 @@ def solve_remap(
         return _solve_monolithic(model, variables, backend)
     if config.strategy == "two-step":
         return _solve_two_step(
-            model, variables, config, backend, greedy_context, warm,
-            retry_unfixed,
+            model, variables, config, backend, greedy_context, retry_unfixed
         )
     raise ModelError(f"unknown remap strategy {config.strategy!r}")
 
@@ -533,7 +445,6 @@ def _solve_two_step(
     config: RemapConfig,
     backend: ScipyBackend,
     greedy_context: "GreedyContext | None" = None,
-    warm: "WarmStart | None" = None,
     retry_unfixed: bool = False,
 ) -> RemapOutcome:
     """The paper's LP-relax -> pre-map -> residual-ILP pipeline.
@@ -546,11 +457,6 @@ def _solve_two_step(
     budget by construction; path delays are re-verified by Algorithm 1's
     full STA pass, which gates every accepted floorplan anyway.
 
-    When ``warm`` carries the pre-mapping of a previous (infeasible)
-    iteration, that binding is tried first under the freshly re-stamped
-    stress budget: a hit skips the LP relaxation and most of the ILP
-    search; a miss reopens the fixes and falls through to the cold path.
-
     With ``retry_unfixed``, a residual ILP that the threshold pre-mapping
     left proven infeasible is re-solved once with the fixes reopened, on
     models of at most ``config.greedy_threshold`` binaries: the Null
@@ -560,35 +466,6 @@ def _solve_two_step(
     stats: dict = {"strategy": "two-step", "rounding": config.rounding}
 
     with span("milp_solve", strategy="two-step") as solve_span:
-        if (
-            warm is not None
-            and warm.reason == "infeasible"
-            and warm.fixing
-            and config.rounding == "threshold"
-            and _apply_fixing(model, variables, warm.fixing)
-        ):
-            with span("ilp_warm_fixing", groups_fixed=len(warm.fixing)):
-                trial = model.solve(backend)
-            stats["warm_fixing"] = len(warm.fixing)
-            stats["ilp_s"] = trial.solve_seconds
-            stats["ilp_status"] = trial.status.value
-            stats["ilp_stats"] = _solve_stats_dict(trial)
-            if trial.status.has_solution:
-                counter("milp.warm_fixing_hits").inc()
-                stats["status"] = "ok"
-                solve_span.set(status="ok", completion="warm_fixing")
-                return RemapOutcome(
-                    feasible=True,
-                    assignment=_extract(variables, trial),
-                    stats=stats,
-                    warm=WarmStart(fixing=dict(warm.fixing)),
-                    solution=trial,
-                )
-            # Miss (still infeasible, or a solver limit): reopen the fixes
-            # and run the cold LP→ILP pipeline on the same model.
-            counter("milp.warm_fixing_misses").inc()
-            model.unfix_all()
-            stats["warm_fixing_retry"] = True
         with span("lp_relax"):
             relaxed = model.relaxed()
             lp_solution = relaxed.solve(backend)
@@ -657,10 +534,6 @@ def _solve_two_step(
         stats["ilp_status"] = ilp_solution.status.value
         stats["ilp_stats"] = _solve_stats_dict(ilp_solution)
         require_not_error(ilp_solution)
-        # The LP's >threshold pre-mapping is the hint for the next solve of
-        # this model: after an infeasible verdict Algorithm 1 relaxes the
-        # budget and the same binding is retried first.
-        binding = _fixed_assignment(model, variables)
         if (
             retry_unfixed
             and ilp_solution.status is SolveStatus.INFEASIBLE
@@ -679,16 +552,13 @@ def _solve_two_step(
         if not ilp_solution.status.has_solution:
             stats["status"] = "ilp_" + ilp_solution.status.value
             solve_span.set(status=stats["status"])
-            return RemapOutcome(
-                feasible=False, stats=stats, warm=WarmStart(fixing=binding)
-            )
+            return RemapOutcome(feasible=False, stats=stats)
         stats["status"] = "ok"
         solve_span.set(status="ok", completion="ilp")
     return RemapOutcome(
         feasible=True,
         assignment=_extract(variables, ilp_solution),
         stats=stats,
-        warm=WarmStart(fixing=binding),
         solution=ilp_solution,
     )
 

@@ -165,12 +165,8 @@ def _stress_target_lower_bound(
             st_target_ns=target,
             frozen_stress_ns={},
         )
-        # Deliberately no warm hints here: a warm-fixing trial can certify
-        # targets the cold two-step pipeline rejects, and a tighter
-        # ST_target makes the *downstream* Eq. (3) model harder — Step 1's
-        # verdict must keep the cold pipeline's semantics.  Warm fixing is
-        # confined to Algorithm 1's relax loop, where a hit accepts a
-        # floorplan outright (gated by full STA) and is pure upside.
+        # The paper's cold two-step pipeline, as in every relax-loop solve;
+        # only the relax loop adds the unfixed residual-ILP retry.
         outcome = solve_remap(model, variables, config, backend, greedy_ctx)
         stats = {**build_stats, **outcome.stats}
         if outcome.feasible:

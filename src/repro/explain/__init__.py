@@ -15,16 +15,12 @@ constraint builders in :mod:`repro.core.constraints`:
   probe (pigeonhole over the conserved total stress) used by CI and
   ``repro explain --probe-infeasible``.
 
-Diagnostics are **opt-out**: :func:`set_explain` (or the
-``REPRO_EXPLAIN`` environment variable, ``0``/``false`` to disable)
-gates everything.  The attribution pass is a handful of numpy
+Diagnostics always run.  The attribution pass is a handful of numpy
 mat-vecs per solve; IIS extraction runs only on terminal infeasible
 outcomes, never on the happy path.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.explain.attribution import attribute_solution, attribution_brief
 from repro.explain.iis import IISMember, IISResult, find_iis, verify_iis
@@ -32,30 +28,8 @@ from repro.explain.iis import IISMember, IISResult, find_iis, verify_iis
 __all__ = [
     "attribute_solution",
     "attribution_brief",
-    "explain_enabled",
     "find_iis",
     "IISMember",
     "IISResult",
-    "set_explain",
     "verify_iis",
 ]
-
-#: Tri-state programmatic override; ``None`` defers to the environment.
-_override: bool | None = None
-
-#: Environment switch; anything in {"0", "false", "no", "off"} disables.
-ENV_VAR = "REPRO_EXPLAIN"
-
-
-def set_explain(enabled: bool | None) -> None:
-    """Enable/disable diagnostics programmatically (``None`` = env/default)."""
-    global _override
-    _override = enabled
-
-
-def explain_enabled() -> bool:
-    """Whether diagnostics (attribution, IIS, explain events) are active."""
-    if _override is not None:
-        return _override
-    raw = os.environ.get(ENV_VAR, "").strip().lower()
-    return raw not in {"0", "false", "no", "off"}

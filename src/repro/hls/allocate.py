@@ -16,13 +16,43 @@ PE's configuration word.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.arch.opcodes import OpKind, UnitKind, op_delay_ns, unit_of
 from repro.errors import HLSError
 from repro.hls.dfg import DataflowGraph
 from repro.hls.schedule import Schedule
 from repro.units import CLOCK_PERIOD_NS
+
+
+def topological_order(
+    ops: Iterable[int], edges: Iterable[tuple[int, int]]
+) -> list[int]:
+    """``ops`` in Kahn's topological order of ``edges``, the smallest ready
+    op id first; edges with an end outside ``ops`` are ignored.
+
+    Ops on a cycle are left out, so a caller detects one by comparing
+    lengths and raises its own error.
+    """
+    remaining = dict.fromkeys(ops, 0)
+    succs: dict[int, list[int]] = {op: [] for op in remaining}
+    for src, dst in edges:
+        if src in remaining and dst in remaining:
+            remaining[dst] += 1
+            succs[src].append(dst)
+    ready = [op for op, count in remaining.items() if count == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        op = heapq.heappop(ready)
+        order.append(op)
+        for succ in succs[op]:
+            remaining[succ] -= 1
+            if remaining[succ] == 0:
+                heapq.heappush(ready, succ)
+    return order
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from repro.errors import SolverError
-from repro.explain import explain_enabled
 from repro.milp.model import MatrixForm, Model
 from repro.milp.scipy_backend import attach_attribution
 from repro.milp.status import Solution, SolveStatus
@@ -258,8 +257,7 @@ class BranchBoundBackend:
         # Snap near-integral values exactly.
         for j in discrete:
             best_x[j] = round(best_x[j])
-        if explain_enabled():
-            attach_attribution(stats, form, best_x, model.row_metadata())
+        attach_attribution(stats, form, best_x, model.row_metadata())
         values = {var: float(best_x[i]) for i, var in enumerate(form.variables)}
         status = SolveStatus.OPTIMAL if proven else SolveStatus.FEASIBLE
         objective = float(form.objective @ best_x)

@@ -231,7 +231,6 @@ class Model:
         self._constraints: list[Constraint] = []
         self._objective: LinExpr = LinExpr.constant_expr(0.0)
         self._minimize = True
-        self._fixed: dict[Variable, float] = {}
         #: Original (pre-fix) bounds of every currently-fixed variable,
         #: restored by :meth:`unfix_all`.
         self._fixed_bounds: dict[Variable, tuple[float, float]] = {}
@@ -272,17 +271,6 @@ class Model:
     def add_continuous(self, name: str, lb: float = 0.0, ub: float = math.inf) -> Variable:
         """Create a continuous variable (the auxiliary distance variables)."""
         return self.add_var(name, lb, ub, VarType.CONTINUOUS)
-
-    def adopt_variable(self, var: Variable) -> Variable:
-        """Register an externally constructed variable with this model."""
-        if var.index is not None and var.index < len(self._variables) and (
-            self._variables[var.index] is var
-        ):
-            return var
-        var.index = len(self._variables)
-        self._variables.append(var)
-        self._structure_rev += 1
-        return var
 
     @property
     def variables(self) -> Sequence[Variable]:
@@ -382,7 +370,7 @@ class Model:
 
         The tuple is cached against the structure and re-stamp revisions:
         per-solve diagnostics (attribution runs after every feasible
-        solve) reuse it for free across warm re-solves.
+        solve) reuse it for free across re-solves of one stamp.
         """
         cache = self._row_meta_cache
         if cache is not None and cache[:2] == (self._structure_rev, self._restamp_rev):
@@ -438,8 +426,8 @@ class Model:
         """Re-stamp every constraint bound to parameter ``name``.
 
         O(bound rows): only the stored constraints' constant terms move
-        (keeping :meth:`check_solution` consistent); the compiled lowering
-        and every expression object are untouched.
+        (so :mod:`repro.verify` re-checks rows against the live RHS); the
+        compiled lowering and every expression object are untouched.
         """
         if name not in self._parameters:
             raise ModelError(
@@ -498,7 +486,6 @@ class Model:
         if var not in self._fixed_bounds:
             self._fixed_bounds[var] = (var.lb, var.ub)
         var.lb = var.ub = float(value)
-        self._fixed[var] = float(value)
 
     def unfix_all(self) -> None:
         """Restore the original bounds of every fixed variable.
@@ -511,11 +498,10 @@ class Model:
         for var, (lb, ub) in self._fixed_bounds.items():
             var.lb, var.ub = lb, ub
         self._fixed_bounds.clear()
-        self._fixed.clear()
 
     @property
     def fixed_variables(self) -> dict[Variable, float]:
-        return dict(self._fixed)
+        return {var: var.lb for var in self._fixed_bounds}
 
     def relaxed(self) -> "Model":
         """Return the LP relaxation sharing this model's Variable objects.
@@ -530,7 +516,6 @@ class Model:
         relaxation._constraints = self._constraints
         relaxation._objective = self._objective
         relaxation._minimize = self._minimize
-        relaxation._fixed = dict(self._fixed)
         relaxation._fixed_bounds = dict(self._fixed_bounds)
         # Share the parameter store and compiled lowering: the relaxation
         # differs only in variable *types*, which the compiled path reads
@@ -649,12 +634,6 @@ class Model:
         if solution.status.has_solution and not self._minimize and self.has_objective():
             solution.objective = -solution.objective
         return solution
-
-    def check_solution(self, solution: Solution, tol: float = 1e-5) -> list[Constraint]:
-        """Return the constraints violated by ``solution`` (for debugging)."""
-        if not solution.status.has_solution:
-            raise ModelError("cannot check a solution-less result")
-        return [c for c in self._constraints if not c.satisfied_by(solution.values, tol)]
 
     def __repr__(self) -> str:
         return (

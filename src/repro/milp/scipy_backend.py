@@ -11,7 +11,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.errors import SolverError
-from repro.explain import attribute_solution, explain_enabled
+from repro.explain import attribute_solution
 from repro.milp.model import Model
 from repro.milp.status import Solution, SolveStatus
 from repro.obs import counter, get_logger, histogram, span
@@ -23,12 +23,12 @@ _log = get_logger("milp.scipy_backend")
 
 
 def attach_attribution(stats: SolveStats, form, x, metas) -> None:
-    """Attribute a feasible solution onto ``stats`` (no-op when disabled).
+    """Attribute a feasible solution onto ``stats`` (no-op without one).
 
     Shared by both backends; diagnostics must never break a solve, so
     attribution failures are logged and swallowed.
     """
-    if x is None or metas is None or not explain_enabled():
+    if x is None:
         return
     try:
         stats.attribution = attribute_solution(form, x, metas)
@@ -96,12 +96,12 @@ class ScipyBackend:
                 LinearConstraint(form.a_matrix, row_lower, row_upper)
             )
 
-        metas = model.row_metadata() if explain_enabled() else None
+        metas = model.row_metadata()
         if not form.integrality.any():
             # Pure LP (e.g. the two-step method's relaxation): HiGHS's
             # interior-point method is several times faster than the
             # branch-and-cut entry point on these transportation-like LPs.
-            return self._solve_lp(form, time_limit, model.name, metas=metas)
+            return self._solve_lp(form, time_limit, model.name, metas)
 
         stats = SolveStats(backend="highs", kind="milp")
         with span(
@@ -171,7 +171,7 @@ class ScipyBackend:
             stats=stats,
         )
 
-    def _solve_lp(self, form, time_limit, name="lp", metas=None) -> Solution:
+    def _solve_lp(self, form, time_limit, name, metas) -> Solution:
         """Pure-LP fast path through linprog/HiGHS-IPM."""
         from scipy.optimize import linprog
 

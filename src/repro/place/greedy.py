@@ -16,32 +16,13 @@ from __future__ import annotations
 from repro.arch.context import Floorplan
 from repro.arch.fabric import Fabric
 from repro.errors import MappingError
-from repro.hls.allocate import MappedDesign
+from repro.hls.allocate import MappedDesign, topological_order
 
 
 def _dependency_order(design: MappedDesign, context: int) -> list[int]:
     """Ops of one context in topological order of intra-context edges."""
     ops = [op.op_id for op in design.ops_in_context(context)]
-    op_set = set(ops)
-    preds: dict[int, set[int]] = {op: set() for op in ops}
-    succs: dict[int, list[int]] = {op: [] for op in ops}
-    for src, dst in design.compute_edges:
-        if src in op_set and dst in op_set:
-            preds[dst].add(src)
-            succs[src].append(dst)
-    import heapq
-
-    ready = [op for op in ops if not preds[op]]
-    heapq.heapify(ready)
-    order: list[int] = []
-    remaining = {op: len(preds[op]) for op in ops}
-    while ready:
-        op = heapq.heappop(ready)
-        order.append(op)
-        for succ in succs[op]:
-            remaining[succ] -= 1
-            if remaining[succ] == 0:
-                heapq.heappush(ready, succ)
+    order = topological_order(ops, design.compute_edges)
     if len(order) != len(ops):
         raise MappingError(f"context {context} has a combinational cycle")
     return order

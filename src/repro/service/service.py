@@ -76,9 +76,6 @@ class ServiceConfig:
     attempt_timeout_s: float | None = 300.0
     #: Grace budget for :meth:`FloorplanService.drain`.
     drain_grace_s: float = 10.0
-    #: Re-certify cached artifacts before serving them (the default; the
-    #: opt-out exists for tests that measure the cache layer alone).
-    certify_cached: bool = True
     #: Admission-control knobs.
     admission: AdmissionConfig | None = None
 
@@ -100,9 +97,7 @@ class FloorplanService:
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
-        self.cache = ArtifactCache(
-            self.config.cache_dir, certify=self.config.certify_cached
-        )
+        self.cache = ArtifactCache(self.config.cache_dir)
         self.store = JobStore(self.config.journal_path)
         self.admission = AdmissionController(self.config.admission)
         self.jobs: dict[str, Job] = {}

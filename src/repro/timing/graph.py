@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.arch.context import Floorplan
 from repro.errors import TimingError
-from repro.hls.allocate import MappedDesign
+from repro.hls.allocate import MappedDesign, topological_order
 
 
 class EndpointKind(enum.Enum):
@@ -107,21 +107,7 @@ class ContextTimingGraph:
 
     def topological_ops(self) -> list[int]:
         """Ops in topological order of the intra-context DAG."""
-        preds = self.intra_preds()
-        remaining = {op: len(p) for op, p in preds.items()}
-        succs = self.intra_succs()
-        import heapq
-
-        ready = [op for op, count in remaining.items() if count == 0]
-        heapq.heapify(ready)
-        order: list[int] = []
-        while ready:
-            op = heapq.heappop(ready)
-            order.append(op)
-            for succ in succs[op]:
-                remaining[succ] -= 1
-                if remaining[succ] == 0:
-                    heapq.heappush(ready, succ)
+        order = topological_order(self.ops, self.intra_edges)
         if len(order) != len(self.ops):
             raise TimingError(f"context {self.context} timing graph is cyclic")
         return order

@@ -1,7 +1,7 @@
 """Trust-but-verify: independent certification of solver results.
 
-The fast path (incremental compilation, RHS restamping, warm starts) is
-never allowed to be its own judge.  This package re-checks accepted
+The fast path (incremental compilation, RHS restamping, LP pre-mapping
+fixes) is never allowed to be its own judge.  This package re-checks accepted
 solutions row-by-row against the *uncompiled* model, re-derives the
 paper's domain invariants (stress budget, exactly-one-PE, frozen pinning,
 CPD preservation) from first principles, certifies saved run artifacts

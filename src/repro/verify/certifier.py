@@ -1,8 +1,8 @@
 """Independent certification of solver solutions and re-mapped floorplans.
 
 The solve path is fast through aggressive reuse: structure-cached
-lowerings, O(rows) RHS restamps, warm-started incumbents.  Nothing in that
-path is allowed to *judge itself* — a silent restamp bug would produce
+lowerings, O(rows) RHS restamps, bounds fixed and reopened in place.
+Nothing in that path is allowed to *judge itself* — a silent restamp bug would produce
 confidently wrong floorplans.  This module is the auditor: a deliberately
 simple, reuse-free re-check of everything an accepted result claims.
 

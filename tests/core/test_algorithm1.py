@@ -159,13 +159,6 @@ class TestCertification:
         assert result.alg1.certifications >= 1
         assert result.alg1.cert_failures == 0
 
-    def test_certify_opt_out(self, synth_design, synth_floorplan, fabric4):
-        result = run_algorithm1(
-            synth_design, fabric4, synth_floorplan, config(certify=False)
-        )
-        assert result.certified is None
-        assert result.alg1.certifications == 0
-
     def test_cert_failure_triggers_one_cold_rebuild(
         self, monkeypatch, synth_design, synth_floorplan, fabric4
     ):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import AgingAwareFlow, Algorithm1Config, FlowConfig, RemapConfig
@@ -89,3 +91,54 @@ class TestMiniCKernelThroughFlow:
         # The re-mapped floorplan still computes the same design: same ops,
         # same contexts.
         assert set(result.remapped.floorplan.ops) == set(small_design.ops)
+
+
+def lower_reevaluated_mttf(monkeypatch):
+    """Make every evaluation after the first (Phase 1's baseline) report a
+    thousandth of its MTTF, so any re-map lowers MTTF."""
+    real = AgingAwareFlow.evaluate
+    calls = []
+
+    def evaluate(self, design, fabric, floorplan):
+        evaluation = real(self, design, fabric, floorplan)
+        calls.append(floorplan)
+        if len(calls) == 1:
+            return evaluation
+        mttf = replace(evaluation.mttf, mttf_s=evaluation.mttf.mttf_s / 1e3)
+        return replace(evaluation, mttf=mttf)
+
+    monkeypatch.setattr(AgingAwareFlow, "evaluate", evaluate)
+    return calls
+
+
+class TestLowerMttfKeepsOriginal:
+    """Phase 2 itself keeps the original floorplan when a re-map lowers
+    MTTF, so runners that call it directly agree with :meth:`run`."""
+
+    def test_phase2_returns_the_original_evaluation(
+        self, monkeypatch, flow, synth_design, fabric4
+    ):
+        calls = lower_reevaluated_mttf(monkeypatch)
+        original = flow.phase1(synth_design, fabric4)
+        evaluation, remap = flow.phase2(synth_design, fabric4, original)
+        assert len(calls) == 2  # the re-map was re-evaluated
+        assert evaluation is original
+        assert remap.degradation == "original"
+        assert remap.fell_back
+        assert remap.floorplan is original.floorplan
+        assert remap.final_cpd_ns == remap.original_cpd_ns
+
+    def test_table1_measurement_reports_no_gain(self, monkeypatch):
+        from repro.benchgen.suite import entry
+        from repro.report.experiments import (
+            ExperimentConfig,
+            measure_benchmark,
+        )
+
+        calls = lower_reevaluated_mttf(monkeypatch)
+        measurement = measure_benchmark(
+            entry("B1"), ExperimentConfig(time_limit_s=30.0)
+        )
+        assert len(calls) == 3  # one Phase 1, one re-map per mode
+        assert measurement.freeze_increase == 1.0
+        assert measurement.rotate_increase == 1.0

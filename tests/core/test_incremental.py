@@ -2,8 +2,8 @@
 
 The Eq. (3) model must be assembled (lowered) exactly once per
 Algorithm 1 run; every further relaxation iteration only re-stamps the
-``st_target`` RHS parameter on the cached compiled model, optionally
-warm-started from the previous iteration's pre-mapping.
+``st_target`` RHS parameter on the cached compiled model and runs the
+cold two-step pipeline on it.
 """
 
 from __future__ import annotations
@@ -11,19 +11,15 @@ from __future__ import annotations
 import pytest
 
 from repro.aging import compute_stress_map
-from repro.core import Algorithm1Config, RemapConfig, WarmStart, run_algorithm1
-from repro.core.remap import (
-    build_remap_model,
-    default_candidates,
-    restamp_remap_model,
-    solve_remap,
-)
-from repro.core.rotation import freeze_plan
+from repro.arch.fabric import Fabric
+from repro.benchgen.sources import kernel_source
+from repro.core import Algorithm1Config, RemapConfig, run_algorithm1
+from repro.core.flow import AgingAwareFlow, flow_config
 from repro.core.targets import StressTargetResult
-from repro.obs import CollectorSink, attached, counter
-from repro.timing import all_critical_paths, analyze
-from repro.timing.graph import build_timing_graphs
-from repro.timing.kpaths import filter_paths
+from repro.hls import compile_source, schedule_dfg, tech_map
+from repro.obs import CollectorSink, attached
+from repro.obs.spans import PATH_SEP
+from repro.timing import analyze
 
 
 def spans_named(records, name, model=None):
@@ -96,104 +92,39 @@ class TestOneBuildPerRun:
         assert report.cpd_ns <= result.original_cpd_ns + 1e-6
 
 
-@pytest.fixture(scope="class")
-def remap_inputs(synth_design, synth_floorplan, fabric4):
-    """The Eq. (3) ingredients Algorithm 1 derives before its loop."""
-    graphs = build_timing_graphs(synth_design)
-    report = analyze(synth_design, synth_floorplan, graphs)
-    critical = all_critical_paths(synth_design, synth_floorplan, graphs, report)
-    by_context: dict[int, list[int]] = {}
-    for path in critical:
-        bucket = by_context.setdefault(path.context, [])
-        for op in path.chain:
-            if op not in bucket:
-                bucket.append(op)
-    frozen = freeze_plan(synth_floorplan, by_context)
-    filtered = filter_paths(
-        synth_design, synth_floorplan, graphs=graphs, report=report
-    )
-    config = RemapConfig(time_limit_s=30)
-    candidates = default_candidates(
-        synth_design, synth_floorplan, frozen, fabric4,
-        config.resolved_window(fabric4),
-    )
-    stress = compute_stress_map(synth_design, synth_floorplan)
-    return {
-        "frozen": frozen,
-        "candidates": candidates,
-        "monitored": filtered.non_critical,
-        "cpd_ns": report.cpd_ns,
-        "config": config,
-        "max_stress": stress.max_accumulated_ns,
-    }
+class TestColdPipeline:
+    """Every relax-loop solve runs the paper's LP -> pre-map -> residual
+    ILP pipeline, also when it re-solves after an infeasible verdict."""
 
-
-class TestWarmFixing:
-    """Re-solving a re-stamped model re-uses the previous pre-mapping."""
-
-    def test_warm_fixing_hit_after_restamp(
-        self, remap_inputs, synth_design, fabric4
-    ):
-        inp = remap_inputs
-        feasible_target = inp["max_stress"]
-        model, variables, _ = build_remap_model(
-            synth_design, fabric4, inp["frozen"], inp["candidates"],
-            inp["monitored"], inp["cpd_ns"], feasible_target,
-        )
-        cold = solve_remap(model, variables, inp["config"])
-        assert cold.feasible
-
-        # Same model, looser target: the previous binding must still be
-        # feasible, so the warm trial short-circuits the LP->ILP path.
-        # (The LP's own >threshold fixing set can legitimately be empty,
-        # so the hint carries the full previous assignment instead.)
-        warm = WarmStart(fixing=dict(cold.assignment), reason="infeasible")
-        restamp_remap_model(model, inp["max_stress"] * 1.1)
-        hits = counter("milp.warm_fixing_hits")
-        before = hits.value
-        outcome = solve_remap(model, variables, inp["config"], warm=warm)
-        assert outcome.feasible
-        assert outcome.stats.get("warm_fixing") == len(warm.fixing)
-        assert "lp_status" not in outcome.stats  # LP stage skipped
-        assert hits.value == before + 1
-        # The fixed groups are honoured; unfixed ops may move freely.
-        for op, pe in warm.fixing.items():
-            assert outcome.assignment[op] == pe
-
-    def test_warm_fixing_miss_reopens_and_retries(
-        self, remap_inputs, synth_design, fabric4
-    ):
-        inp = remap_inputs
-        model, variables, _ = build_remap_model(
-            synth_design, fabric4, inp["frozen"], inp["candidates"],
-            inp["monitored"], inp["cpd_ns"], inp["max_stress"],
-        )
-        cold = solve_remap(model, variables, inp["config"])
-        assert cold.feasible
-        warm = WarmStart(fixing=dict(cold.assignment), reason="infeasible")
-        # Tighten far below feasibility: the warm trial must miss, reopen
-        # the fixes, and fall through to the (also infeasible) cold path.
-        restamp_remap_model(model, inp["max_stress"] * 0.3)
-        misses = counter("milp.warm_fixing_misses")
-        before = misses.value
-        outcome = solve_remap(model, variables, inp["config"], warm=warm)
-        assert misses.value == before + 1
-        assert outcome.stats.get("warm_fixing_retry") is True
-        assert not outcome.feasible
-        assert model.fixed_variables == {}
-
-    def test_warm_ignored_without_infeasible_reason(
-        self, remap_inputs, synth_design, fabric4
-    ):
-        inp = remap_inputs
-        model, variables, _ = build_remap_model(
-            synth_design, fabric4, inp["frozen"], inp["candidates"],
-            inp["monitored"], inp["cpd_ns"], inp["max_stress"],
-        )
-        cold = solve_remap(model, variables, inp["config"])
-        stale = WarmStart(fixing=dict(cold.assignment), reason="cpd_violation")
-        restamp_remap_model(model, inp["max_stress"] * 1.1)
-        outcome = solve_remap(model, variables, inp["config"], warm=stale)
-        assert outcome.feasible
-        assert "warm_fixing" not in outcome.stats
-        assert "lp_status" in outcome.stats  # full two-step pipeline ran
+    def test_resolve_after_infeasible_relaxes_the_lp(self):
+        # fir8 on a 3x3 fabric re-solves after several infeasible verdicts.
+        fabric = Fabric(3, 3)
+        dfg = compile_source(kernel_source("fir8"), "fir8")
+        design = tech_map(schedule_dfg(dfg, capacity=fabric.num_pes))
+        collector = CollectorSink()
+        with attached(collector):
+            result = AgingAwareFlow(flow_config("rotate", 30.0)).run(
+                design, fabric
+            )
+        verdicts = [
+            entry["result"] for entry in result.remap.stats["iterations"]
+        ]
+        assert "infeasible" in verdicts[:-1]
+        relax_solve = PATH_SEP.join(("iteration", "milp_solve"))
+        pipeline = {
+            "lp_relax", "greedy_complete", "rounding", "ilp_fix", "ilp_unfixed",
+        }
+        solves = lp_children = 0
+        for record in collector.records:
+            if record["type"] != "span":
+                continue
+            if (record["parent"] or "").endswith(relax_solve):
+                # No stage outside the cold pipeline, e.g. a re-solve
+                # that re-applies an earlier pre-mapping.
+                assert record["name"] in pipeline, record["name"]
+                lp_children += record["name"] == "lp_relax"
+            elif record["path"].endswith(relax_solve):
+                solves += 1
+                # Children close before their parent: one LP per solve.
+                assert lp_children == solves
+        assert solves >= 2

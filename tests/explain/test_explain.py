@@ -7,8 +7,7 @@ Covers the diagnostics contract end to end at the unit level:
 * deletion-filtering IIS extraction finds the minimal conflicting core,
   excludes redundant rows, reports fault-injected "infeasible" verdicts
   honestly, and survives zero-variable (all-frozen) models;
-* binding/slack attribution names saturated PEs and tight families, and
-  respects the ``set_explain`` opt-out;
+* binding/slack attribution names saturated PEs and tight families;
 * the forced-infeasible stress probe is genuinely infeasible and its
   IIS reads in stress/assignment domain terms.
 """
@@ -24,21 +23,12 @@ from repro.explain import (
     IISResult,
     attribute_solution,
     attribution_brief,
-    explain_enabled,
     find_iis,
-    set_explain,
     verify_iis,
 )
 from repro.explain.iis import _Prober
 from repro.explain.probe import build_infeasible_stress_model
 from repro.milp import Model, ScipyBackend, SolveStatus, linear_sum
-
-
-@pytest.fixture(autouse=True)
-def _reset_explain():
-    """Leave the tri-state override untouched for other tests."""
-    yield
-    set_explain(None)
 
 
 # -- domain-tag round-trips ----------------------------------------------------
@@ -280,26 +270,12 @@ class TestAttribution:
         assert attribution_brief(None) is None
 
     def test_attribution_attached_on_feasible_solve(self):
-        set_explain(True)
         solution = tagged_model().solve(ScipyBackend())
         assert solution.status is SolveStatus.OPTIMAL
         attribution = solution.stats.attribution
         assert attribution is not None and attribution["binding"] >= 1
         assert "attribution" in solution.stats.span_attrs()
 
-    def test_opt_out_disables_attribution(self):
-        set_explain(False)
-        assert not explain_enabled()
-        solution = tagged_model().solve(ScipyBackend())
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.stats.attribution is None
-
-    def test_env_var_opt_out(self, monkeypatch):
-        set_explain(None)
-        monkeypatch.setenv("REPRO_EXPLAIN", "0")
-        assert not explain_enabled()
-        monkeypatch.setenv("REPRO_EXPLAIN", "1")
-        assert explain_enabled()
 
 
 # -- forced-infeasible probe ---------------------------------------------------

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.io import load_design, load_floorplan
 
 
@@ -93,6 +93,24 @@ class TestFlowAndBench:
     def test_bench_unknown_name_reports_error(self, capsys):
         assert main(["bench", "B99"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestDeadlineFlag:
+    @pytest.mark.parametrize("argv", [
+        ["remap", "d.json", "fp.json"],
+        ["flow", "fir8"],
+        ["bench", "one", "B1"],
+    ])
+    def test_flow_commands_take_a_budget(self, argv):
+        args = build_parser().parse_args([*argv, "--deadline", "5"])
+        assert args.deadline == 5.0
+
+    def test_serve_rejects_it(self, capsys):
+        # A served job's budget is its request's deadline_s.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--deadline", "5"])
+        assert excinfo.value.code == 2
+        assert "--deadline" in capsys.readouterr().err
 
 
 class TestTraceAndProfile:

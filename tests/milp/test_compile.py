@@ -130,17 +130,6 @@ class TestRestampVsRebuild:
         assert lowerings.value == before[0]
         assert restamps.value == before[1] + 1
 
-    def test_check_solution_follows_restamp(self):
-        model, variables = param_model(5.0)
-        x, y, b = variables
-        solution = model.solve()
-        assert not model.check_solution(solution)
-        # Tighten the parameter under the solution's feet: the stored
-        # constraints must report the violation (restamping edits the
-        # constraint constants, not just the compiled RHS).
-        model.set_parameter("limit", 0.5)
-        assert model.check_solution(solution)
-
     def test_solve_tracks_parameter(self):
         model, _ = param_model(5.0)
         loose = model.solve()

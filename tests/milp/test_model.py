@@ -134,15 +134,6 @@ class TestSolveIntegration:
         solution = model.solve()
         assert solution.objective == pytest.approx(10.0)
 
-    def test_check_solution_finds_violations(self, model):
-        from repro.milp import Solution, SolveStatus
-
-        x = model.add_continuous("x", 0, 10)
-        constraint = model.add_constraint(x <= 2, name="cap")
-        fake = Solution(status=SolveStatus.OPTIMAL, objective=0.0, values={x: 5.0})
-        violated = model.check_solution(fake)
-        assert violated == [constraint]
-
     def test_empty_model_is_optimal(self, model):
         solution = model.solve()
         assert solution.status.has_solution

@@ -47,12 +47,6 @@ class TestFlowConfig:
     def test_default_mode_rotate(self):
         assert flow_config("rotate", 10.0).algorithm1.mode == "rotate"
 
-    def test_certify_on_by_default_and_optional(self):
-        assert flow_config("rotate", 10.0).algorithm1.certify is True
-        config = flow_config("rotate", 10.0, certify=False)
-        assert config.algorithm1.certify is False
-        assert ExperimentConfig().certify is True
-
     def test_drivers_use_the_default_iteration_budget(self, monkeypatch):
         """Table I, Fig. 2a and Fig. 2b run Algorithm 1 with the budget
         every other runner uses, so one design gets one answer."""

@@ -1,9 +1,8 @@
-"""Extension benchmark: rotation-set size sweep (saturation curve).
+"""Extension benchmark: rotation-set size sweep.
 
 Not a paper table — the measurement for the multi-configuration extension
-(see repro.core.multiconfig): how the time-averaged worst-PE stress and
-MTTF improve with the number of configurations K, saturating toward the
-fabric-mean floor.
+(see repro.core.multiconfig): the time-averaged worst-PE stress and MTTF
+of K configurations, against the fabric-mean floor.
 
 Run::
 

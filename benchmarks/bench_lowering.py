@@ -21,8 +21,11 @@ from __future__ import annotations
 import pytest
 
 from repro.aging import compute_stress_map
-from repro.core import RemapConfig
-from repro.core.remap import build_remap_model, default_candidates
+from repro.core.remap import (
+    build_remap_model,
+    default_candidates,
+    resolved_window,
+)
 from repro.core.rotation import freeze_plan
 from repro.place import place_baseline
 from repro.timing import all_critical_paths, analyze
@@ -49,9 +52,8 @@ def remap_inputs(built_benchmarks):  # noqa: F811
                 bucket.append(op)
     frozen = freeze_plan(original, by_context)
     filtered = filter_paths(design, original, graphs=graphs, report=report)
-    config = RemapConfig()
     candidates = default_candidates(
-        design, original, frozen, fabric, config.resolved_window(fabric)
+        design, original, frozen, fabric, resolved_window(fabric)
     )
     st_target = compute_stress_map(design, original).max_accumulated_ns
     return {

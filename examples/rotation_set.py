@@ -4,9 +4,9 @@
 The paper's related work ([3], [8]) periodically swaps between several
 configurations to spread wear.  This example composes the paper's MILP
 machinery into that scheme: it builds rotation sets of size K = 1, 2 and
-3 for one benchmark and shows how the time-averaged worst-PE stress — and
-hence the MTTF — improves and then saturates (the fabric-mean duty is a
-hard floor for any levelling scheme).
+3 for one benchmark and shows the time-averaged worst-PE stress and the
+MTTF of each, next to the fabric-mean duty that no levelling scheme can
+beat.
 
 Usage::
 
@@ -60,7 +60,7 @@ def main() -> None:
     ))
     print()
     print(f"The worst-PE average can never drop below the fabric mean of "
-          f"{mean_floor:.2f} ns — watch the gain saturate toward that floor.")
+          f"{mean_floor:.2f} ns.")
 
 
 if __name__ == "__main__":

@@ -122,10 +122,6 @@ class Fabric:
             raise ArchitectureError(f"negative wire length {length}")
         return length * self.unit_wire_delay_ns
 
-    def wire_delay_between(self, a: int, b: int) -> float:
-        """Wire delay between two PEs by index, in ns."""
-        return self.wire_delay(self.manhattan(a, b))
-
     def neighbors(self, index: int) -> list[int]:
         """Indices of the 4-connected neighbours of a PE."""
         pe = self.pe(index)

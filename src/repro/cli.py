@@ -9,7 +9,7 @@ inspected and re-analysed from the shell::
                                  [--mode rotate] [--time-limit 30]
     python -m repro.cli analyze  design.json floorplan.json
     python -m repro.cli flow     kernel.c --fabric 4x4 [-o result.json]
-    python -m repro.cli bench    one B13 [--scaled 8] [--mode rotate]
+    python -m repro.cli bench    B13 [--scaled 8] [--mode rotate]
     python -m repro.cli verify   result.json [--certify-backend branch-bound]
     python -m repro.cli trace    summarize trace.jsonl [--json]
     python -m repro.cli explain  result.json [trace.jsonl] [-o report.html]
@@ -44,8 +44,7 @@ exactly-once job journaling and graceful SIGTERM drain (see
 docs/robustness.md, "Serving floorplans").  The listener address is
 published to ``<state-dir>/endpoint.json`` (``--port 0`` = ephemeral).
 
-``bench one`` runs one Table I benchmark through the flow; the bare form
-``bench B13`` is an alias for ``bench one B13``.
+``bench B13`` runs one Table I benchmark through the flow.
 """
 
 from __future__ import annotations
@@ -444,7 +443,8 @@ def cmd_trace_summarize(args) -> int:
         )
         print()
         print(format_mapping(
-            f"algorithm1: {run.get('benchmark', '?')}", {
+            f"algorithm1: {run.get('benchmark', '?')} "
+            f"({run.get('mode', '?')})", {
                 "degradation": run.get("degradation"),
                 "ST range (ns)": (
                     f"[{run.get('st_low_ns', 0.0):.3f}, "
@@ -650,18 +650,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_flow)
 
-    p = sub.add_parser("bench", help="run one Table I benchmark")
-    bsub = p.add_subparsers(dest="bench_command", required=True)
-
-    b = bsub.add_parser(
-        "one", help="run one Table I benchmark",
+    p = sub.add_parser(
+        "bench", help="run one Table I benchmark",
         parents=[obs_flags, flow_flags],
     )
-    b.add_argument("name")
-    b.add_argument("--scaled", type=int, default=None)
-    b.add_argument("--mode", choices=["freeze", "rotate"], default="rotate")
-    b.add_argument("--time-limit", type=float, default=30.0)
-    b.set_defaults(func=cmd_bench)
+    p.add_argument("name")
+    p.add_argument("--scaled", type=int, default=None)
+    p.add_argument("--mode", choices=["freeze", "rotate"], default="rotate")
+    p.add_argument("--time-limit", type=float, default=30.0)
+    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "verify",
@@ -789,16 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _normalize_argv(argv: list[str] | None) -> list[str]:
-    """Back-compat shim: ``bench B13 ...`` means ``bench one B13 ...``."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "bench" and len(argv) > 1:
-        nxt = argv[1]
-        if nxt != "one" and not nxt.startswith("-"):
-            argv.insert(1, "one")
-    return argv
-
-
 def _run_profiled(args, path: str) -> int:
     """Run the subcommand under cProfile; dump pstats + print hotspots."""
     import cProfile
@@ -820,7 +807,7 @@ def _run_profiled(args, path: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(_normalize_argv(argv))
+    args = build_parser().parse_args(argv)
     configure_logging(getattr(args, "log_level", "warning"))
     if getattr(args, "solver_progress", False):
         set_progress(True)

@@ -38,7 +38,6 @@ from repro.core.remap import (
     build_remap_model,
     default_candidates,
     frozen_stress_by_pe,
-    restamp_remap_model,
     solve_remap,
 )
 from repro.core.rotation import (
@@ -85,7 +84,6 @@ __all__ = [
     "flow_config",
     "freeze_plan",
     "frozen_stress_by_pe",
-    "restamp_remap_model",
     "rotate_plan",
     "run_algorithm1",
     "run_flow",

@@ -19,6 +19,10 @@ The outer loop of the paper:
 If no valid floorplan is found within the iteration budget the flow falls
 back to the original floorplan (MTTF increase 1.0x) and reports it — the
 paper's guarantee of *no delay degradation* is therefore unconditional.
+
+Steps 2.1 and 2.2 (:func:`prepare_phase2`) and Step 2.3's loop
+(:class:`RelaxLoop`) also serve the rotation sets of
+:mod:`repro.core.multiconfig`, one loop per configuration.
 """
 
 from __future__ import annotations
@@ -31,14 +35,10 @@ from repro.arch.checks import check_frozen_ops
 from repro.arch.context import Floorplan
 from repro.arch.fabric import Fabric
 from repro.core.remap import (
-    GreedyContext,
     RemapConfig,
-    add_lazy_path_rows,
-    build_remap_model,
+    RemapProblem,
     default_candidates,
-    frozen_stress_by_pe,
-    restamp_remap_model,
-    solve_remap,
+    resolved_window,
 )
 from repro.core.rotation import FrozenPlan, freeze_plan, rotate_plan
 from repro.core.targets import (
@@ -66,6 +66,7 @@ from repro.timing.kpaths import (
     DEFAULT_MAX_PATHS,
     DEFAULT_RETENTION,
     MonitoredPath,
+    PathFilterResult,
     enumerate_context_paths,
     filter_paths,
 )
@@ -73,6 +74,13 @@ from repro.timing.sta import all_critical_paths, analyze
 
 #: CPD comparisons use this guard band (ns) against float noise.
 CPD_EPS = 1e-6
+
+#: Seed of the rotation rule's random draws (Rotate mode).
+ROTATION_SEED = 2020
+
+#: ``ST_target`` may exceed ``ST_up`` by this factor before the relax loop
+#: gives up.
+ST_CEILING_FACTOR = 1.5
 
 _log = get_logger("core.algorithm1")
 
@@ -85,21 +93,9 @@ class Algorithm1Config:
     mode: str = "rotate"
     #: Path filter: retain paths within this fraction of the CPD.
     retention: float = DEFAULT_RETENTION
-    #: Cap on the filter's monitored paths, and on the violated paths one
-    #: CPD-violation round adds as lazy rows.
-    max_paths: int = DEFAULT_MAX_PATHS
-    #: ST_target relaxation stepsize; None derives the default from the
-    #: original stress map (span / 20).
-    delta_ns: float | None = None
     #: Relax-loop iterations, row-generation rounds included.
     max_iterations: int = 25
-    #: Random draws of the rotation rule evaluated for minimum overlap
-    #: (1 = the paper's single constrained-random draw).
-    rotation_samples: int = 8
-    seed: int = 2020
     remap: RemapConfig = field(default_factory=RemapConfig)
-    #: Allow ST_target to exceed ST_up by this factor before giving up.
-    st_ceiling_factor: float = 1.5
 
 
 @dataclass
@@ -191,14 +187,184 @@ def _run_algorithm1(
     original_stress: StressMap | None,
     backend: ScipyBackend,
 ) -> RemapResult:
-    rng = random.Random(config.seed)
+    inputs = prepare_phase2(design, fabric, original, config, original_stress)
+    cpd_orig, frozen = inputs.cpd_ns, inputs.frozen
+    original_stress = inputs.original_stress
 
+    # -- Step 1 and the Step 2.3 relax loop, wrapped by the degradation ladder
+    loop = RelaxLoop(inputs, inputs.problem(), config, backend)
+    alg1 = loop.stats
+    step1: StressTargetResult | None = None
+    failure: Exception | None = None
+    try:
+        step1 = inputs.step1(config, backend)
+        alg1.floor_ns = step1.floor_ns
+        alg1.floor_skips = step1.floor_skips
+        alg1.ilp_bumps = step1.ilp_bumps
+        _absorb_solve_stats(alg1, step1.stats)
+        loop.run(step1.st_target_ns, inputs.st_ceiling_ns)
+    except (SolverError, DeadlineExceededError, CertificationError) as exc:
+        failure = exc
+        if isinstance(exc, CertificationError):
+            # The iteration's counters were lost with its entry; record the
+            # terminal failure on the run-level aggregates directly.
+            alg1.cert_failures += 1
+    best, final_cpd = loop.floorplan, loop.final_cpd_ns
+    st_target, degradation = loop.st_target_ns, loop.degradation
+
+    if best is None:
+        # The relax loop ended without an accepted floorplan: record the
+        # terminal root cause (and, when the last verdict was infeasible,
+        # extract an IIS from the still-stamped model) before the
+        # degradation ladder overwrites the outcome.
+        loop.explanations.append(_explain_terminal(loop, failure))
+
+    if failure is not None:
+        # Ladder rung 2: solver path is gone (crash, timeout without
+        # incumbent, or the budget expired) — try the solver-free greedy
+        # stress-levelling re-map, gated by the same full-STA CPD check.
+        counter("algorithm1.degradations").inc()
+        _log.warning(
+            "%s: solver path failed (%s: %s); trying greedy "
+            "stress-levelling fallback",
+            design.name, type(failure).__name__, failure,
+        )
+        # The greedy rung pins critical-path ops at their *original* PEs
+        # (freeze semantics) regardless of mode: the descent starts from
+        # the original floorplan, and rotation is meaningful only for the
+        # MILP path that re-solves around the rotated pins.
+        pinned = {op: original.pe_of[op] for op in frozen.positions}
+        candidate = greedy_stress_level_remap(
+            design, fabric, original, pinned, graphs=inputs.graphs
+        )
+        if candidate is not None:
+            check_frozen_ops(original, candidate, pinned)
+            with span("sta_verify"):
+                fallback_report = analyze(design, candidate, inputs.graphs)
+            if fallback_report.cpd_ns <= cpd_orig + CPD_EPS:
+                best = candidate
+                final_cpd = fallback_report.cpd_ns
+                degradation = "greedy"
+                st_target = compute_stress_map(
+                    design, candidate
+                ).max_accumulated_ns
+        event(
+            "algorithm1.degraded",
+            benchmark=design.name,
+            mode=config.mode,
+            level=degradation if best is not None else "original",
+            reason=type(failure).__name__,
+            detail=str(failure),
+        )
+
+    fell_back = best is None
+    if fell_back:
+        # Ladder rung 3 (also the paper's unconditional fallback when the
+        # relax loop exhausts its budget): keep the original floorplan.
+        counter("algorithm1.fallbacks").inc()
+        event(
+            "algorithm1.fallback",
+            benchmark=design.name,
+            mode=config.mode,
+            iterations=loop.iterations,
+        )
+        best = original
+        final_cpd = cpd_orig
+        st_target = original_stress.max_accumulated_ns
+        degradation = "original"
+    if step1 is None:
+        step1 = StressTargetResult(
+            st_target_ns=st_target,
+            st_low_ns=original_stress.mean_accumulated_ns,
+            st_up_ns=original_stress.max_accumulated_ns,
+            stats={"skipped": "degraded before Step 1 completed"},
+        )
+    alg1.final_st_target_ns = st_target
+    event(
+        "algorithm1.stats",
+        benchmark=design.name,
+        mode=config.mode,
+        degradation=degradation,
+        **alg1.to_dict(),
+    )
+    stats = {
+        "iterations": loop.log,
+        "path_filter_truncated": inputs.filtered.truncated,
+        "algorithm1": alg1.to_dict(),
+        "explanations": loop.explanations,
+    }
+    if failure is not None:
+        stats["degradation_reason"] = f"{type(failure).__name__}: {failure}"
+    return RemapResult(
+        floorplan=best,
+        st_target_ns=st_target,
+        original_cpd_ns=cpd_orig,
+        final_cpd_ns=final_cpd,
+        iterations=loop.iterations,
+        fell_back=fell_back,
+        frozen=frozen,
+        step1=step1,
+        monitored_count=len(inputs.filtered.non_critical),
+        critical_op_count=len(frozen.positions),
+        stats=stats,
+        degradation=degradation,
+        alg1=alg1,
+        certified=loop.certified,
+    )
+
+
+@dataclass
+class Phase2Inputs:
+    """What Phase 2 derives from the original floorplan before any solve;
+    Algorithm 1 and every rotation-set configuration share it."""
+
+    design: MappedDesign
+    fabric: Fabric
+    original: Floorplan
+    graphs: list
+    cpd_ns: float
+    frozen: FrozenPlan
+    filtered: PathFilterResult
+    original_stress: StressMap
+    delta_ns: float
+    candidates: dict[int, list[int]]
+
+    @property
+    def st_ceiling_ns(self) -> float:
+        return self.original_stress.max_accumulated_ns * ST_CEILING_FACTOR
+
+    def step1(
+        self, config: Algorithm1Config, backend: ScipyBackend
+    ) -> StressTargetResult:
+        """Step 1: the delay-unaware ``ST_target`` lower bound."""
+        return stress_target_lower_bound(
+            self.design, self.fabric, self.original, self.original_stress,
+            config=config.remap, backend=backend,
+        )
+
+    def problem(self, carried_ns=None) -> RemapProblem:
+        """The Eq. (3) problem over these inputs (see :class:`RemapProblem`
+        for ``carried_ns``)."""
+        return RemapProblem(
+            self.design, self.fabric, self.frozen, self.candidates,
+            self.filtered.non_critical, self.cpd_ns, carried_ns or {},
+        )
+
+
+def prepare_phase2(
+    design: MappedDesign,
+    fabric: Fabric,
+    original: Floorplan,
+    config: Algorithm1Config,
+    original_stress: StressMap | None = None,
+) -> Phase2Inputs:
+    """Steps 2.1 and 2.2 on the original floorplan, plus Δ and the
+    candidate PEs (spans ``sta``, ``critical_paths`` and ``path_filter``)."""
     # Graph (and kernel-lowering) construction is structure work, not
     # timing analysis — keep it out of the sta span.
     graphs = build_timing_graphs(design)
     with span("sta"):
         report = analyze(design, original, graphs)
-    cpd_orig = report.cpd_ns
 
     # -- Step 2.1: critical-path constraint generation -----------------------
     with span("critical_paths"):
@@ -217,8 +383,7 @@ def _run_algorithm1(
                 original,
                 critical_by_context,
                 stress_of,
-                rng,
-                samples=config.rotation_samples,
+                random.Random(ROTATION_SEED),
             )
 
     # -- Step 2.2: path-delay constraint generation ---------------------------
@@ -227,213 +392,249 @@ def _run_algorithm1(
             design,
             original,
             retention=config.retention,
-            max_paths=config.max_paths,
             graphs=graphs,
             report=report,
         )
-    monitored = filtered.non_critical
 
-    # -- Step 1: ST_target lower bound -----------------------------------------
     original_stress = original_stress or compute_stress_map(design, original)
-    delta = (
-        config.delta_ns
-        if config.delta_ns is not None
-        else default_delta_ns(original_stress)
+    return Phase2Inputs(
+        design=design,
+        fabric=fabric,
+        original=original,
+        graphs=graphs,
+        cpd_ns=report.cpd_ns,
+        frozen=frozen,
+        filtered=filtered,
+        original_stress=original_stress,
+        delta_ns=default_delta_ns(original_stress),
+        candidates=default_candidates(
+            design, original, frozen, fabric, resolved_window(fabric)
+        ),
     )
-    st_ceiling = original_stress.max_accumulated_ns * config.st_ceiling_factor
 
-    # -- Step 2.3: solve / relax loop, wrapped by the degradation ladder ------
-    deadline = current_deadline()
-    relaxations = counter("algorithm1.st_target_relaxations")
-    step1: StressTargetResult | None = None
-    st_target = original_stress.max_accumulated_ns
-    iterations = 0
-    iteration_log: list[dict] = []
-    explanations: list[dict] = []
-    model = variables = None
-    best: Floorplan | None = None
-    final_cpd = cpd_orig
-    degradation = "none"
-    certified: bool | None = None
-    failure: Exception | None = None
-    alg1 = Algorithm1Stats(
-        st_low_ns=original_stress.mean_accumulated_ns,
-        st_up_ns=original_stress.max_accumulated_ns,
-        delta_ns=delta,
-    )
-    try:
-        step1 = stress_target_lower_bound(
-            design,
-            fabric,
-            original,
-            original_stress,
-            config=config.remap,
-            delta_ns=config.delta_ns,
-            backend=backend,
+
+class RelaxLoop:
+    """Step 2.3, the relax loop, on one Eq. (3) problem.
+
+    Each iteration solves the problem at ``ST_target`` and passes a
+    feasible floorplan through the acceptance gate (:meth:`_gate`).  An
+    infeasible verdict relaxes ``ST_target`` by Δ; a CPD violation adds
+    every path over the original CPD to the live model as an Eq. (5) row
+    and re-solves at the same target.  The attributes stay readable when
+    :meth:`run` raises, so the degradation ladder sees how far it got.
+    """
+
+    def __init__(
+        self,
+        inputs: Phase2Inputs,
+        problem: RemapProblem,
+        config: Algorithm1Config,
+        backend: ScipyBackend,
+    ) -> None:
+        self.inputs, self.problem = inputs, problem
+        self.config, self.backend = config, backend
+        stress = inputs.original_stress
+        self.st_target_ns = stress.max_accumulated_ns  # until the first try
+        self.iterations = 0
+        self.log: list[dict] = []  # one entry per finished iteration
+        self.explanations: list[dict] = []
+        self.stats = Algorithm1Stats(
+            st_low_ns=stress.mean_accumulated_ns,
+            st_up_ns=stress.max_accumulated_ns,
+            delta_ns=inputs.delta_ns,
         )
-        alg1.floor_ns = step1.floor_ns
-        alg1.floor_skips = step1.floor_skips
-        alg1.ilp_bumps = step1.ilp_bumps
-        _absorb_solve_stats(alg1, step1.stats)
-        candidates = default_candidates(
-            design, original, frozen, fabric, config.remap.resolved_window(fabric)
-        )
-        st_base = st_target = step1.st_target_ns
+        # The accepted floorplan, its CPD, certification and ladder level.
+        self.floorplan: Floorplan | None = None
+        self.final_cpd_ns = inputs.cpd_ns
+        self.certified: bool | None = None
+        self.degradation = "none"
+
+    def run(self, st_base_ns: float, st_ceiling_ns: float) -> Floorplan | None:
+        """Relax from ``st_base_ns`` until a floorplan passes the gate, the
+        iteration budget is spent or ``ST_target`` exceeds
+        ``st_ceiling_ns``; returns the accepted floorplan or None."""
+        deadline = current_deadline()
+        relaxations = counter("algorithm1.st_target_relaxations")
+        alg1 = self.stats
+        benchmark = self.problem.design.name
+        self.st_target_ns = st_base_ns
         relaxed = 0  # Delta-relaxations; a row round re-solves at the same count
-        # The Eq. (3) model is assembled once and re-stamped with each
-        # relaxed ST_target.
-        # Violated paths added as lazy rows, per adding iteration: a cold
-        # rebuild of the model re-adds them.
-        lazy_rows: list[tuple[int, list[MonitoredPath]]] = []
-        while iterations < config.max_iterations and st_target <= st_ceiling:
+        while (
+            self.iterations < self.config.max_iterations
+            and self.st_target_ns <= st_ceiling_ns
+        ):
             deadline.check("algorithm1:iteration")
-            iterations += 1
+            self.iterations += 1
             counter("algorithm1.iterations").inc()
             with span(
-                "iteration", index=iterations, st_target_ns=st_target
+                "iteration", index=self.iterations,
+                st_target_ns=self.st_target_ns,
             ) as iter_span:
-                entry, model, variables = _run_iteration(
-                    design, fabric, original, config, backend, frozen,
-                    candidates, monitored, cpd_orig, st_target, iterations, graphs,
-                    lazy_rows, model=model, variables=variables,
-                )
-                iteration_log.append(entry)
+                entry = self._iterate()
+                self.log.append(entry)
                 iter_span.set(result=entry["result"])
             alg1.record_iteration(
-                st_target, entry["result"], entry.get("rows_added", 0)
+                self.st_target_ns, entry["result"], entry.get("rows_added", 0)
             )
             alg1.certifications += entry.get("certifications", 0)
             alg1.cert_failures += entry.get("cert_failures", 0)
             alg1.cert_cold_rebuilds += int(entry.get("cert_cold_rebuild", False))
             _absorb_solve_stats(alg1, entry)
             if entry["result"] != "accepted":
-                explanations.append(
-                    _explain_iteration(design.name, entry, cpd_orig)
+                self.explanations.append(
+                    _explain_iteration(benchmark, entry, self.inputs.cpd_ns)
                 )
             _log.debug(
                 "%s: iteration %d at ST_target=%.3f ns -> %s",
-                design.name, iterations, st_target, entry["result"],
+                benchmark, self.iterations, self.st_target_ns, entry["result"],
             )
             if entry["result"] == "accepted":
-                best = entry.pop("floorplan")
-                final_cpd = entry["new_cpd_ns"]
-                certified = entry.get("certified")
+                self.floorplan = entry.pop("floorplan")
+                self.final_cpd_ns = entry["new_cpd_ns"]
+                self.certified = entry.get("certified")
                 if _used_incumbent(entry):
                     # Accepted, but a solver limit was hit on the way: the
                     # floorplan came from a best-so-far incumbent, not a
                     # proven/gap-certified solve.
-                    degradation = "incumbent"
+                    self.degradation = "incumbent"
                 break
             if _resolve_at_same_target(entry):
                 alg1.row_rounds += 1
                 continue
             relaxations.inc()
             relaxed += 1
-            st_target = relaxed_target(st_base, delta, relaxed)
-    except (SolverError, DeadlineExceededError, CertificationError) as exc:
-        failure = exc
-        if isinstance(exc, CertificationError):
-            # The iteration's counters were lost with its entry; record the
-            # terminal failure on the run-level aggregates directly.
-            alg1.cert_failures += 1
-
-    if best is None:
-        # The relax loop ended without an accepted floorplan: record the
-        # terminal root cause (and, when the last verdict was infeasible,
-        # extract an IIS from the still-stamped model) before the
-        # degradation ladder overwrites the outcome.
-        explanations.append(
-            _explain_terminal(
-                design.name, alg1, failure, iterations, config, st_target,
-                st_ceiling, model,
+            self.st_target_ns = relaxed_target(
+                st_base_ns, self.inputs.delta_ns, relaxed
             )
-        )
+        return self.floorplan
 
-    if failure is not None:
-        # Ladder rung 2: solver path is gone (crash, timeout without
-        # incumbent, or the budget expired) — try the solver-free greedy
-        # stress-levelling re-map, gated by the same full-STA CPD check.
-        counter("algorithm1.degradations").inc()
+    def _iterate(self) -> dict:
+        """One solve attempt at ``st_target_ns``; returns its log entry,
+        whose ``result`` is ``accepted`` (the entry then carries the
+        ``floorplan``), ``infeasible``, ``cpd_violation`` or
+        ``frozen_budget_infeasible``."""
+        iteration, st_target = self.iterations, self.st_target_ns
+        try:
+            # The build is re-tried while the frozen stress alone busts the
+            # budget: a relaxed target can admit a model a tighter could not.
+            outcome = self.problem.solve(
+                st_target, self.config.remap, self.backend, retry_unfixed=True
+            )
+        except BudgetInfeasibleError as exc:
+            return {
+                "iteration": iteration,
+                "st_target_ns": st_target,
+                "result": "frozen_budget_infeasible",
+                "rows_added": 0,
+                "pe": getattr(exc, "pe_index", None),
+                "frozen_ns": getattr(exc, "frozen_ns", None),
+            }
+        entry = {
+            "iteration": iteration,
+            "st_target_ns": st_target,
+            "rows_added": 0,
+            **outcome.stats,
+        }
+        if not outcome.feasible:
+            entry["result"] = "infeasible"
+            return entry
+        floorplan, report, cert = self._gate(self.problem, outcome)
+        entry["new_cpd_ns"] = report.cpd_ns
+        if cert is None:
+            entry["result"] = "cpd_violation"
+            paths = _violated_paths(
+                floorplan, self.inputs.graphs, report, self.inputs.cpd_ns
+            )
+            if paths:
+                # A path between fixed endpoints only yields no row (the
+                # loop then relaxes by Delta, which cannot repair it either).
+                added = self.problem.add_path_rows(paths, iteration)
+                counter("algorithm1.lazy_path_rows").inc(added)
+                entry["rows_added"] = added
+                culprit = max(paths, key=lambda monitored: monitored.delay_ns)
+                entry["culprit"] = {
+                    "context": culprit.path.context,
+                    "ops": list(culprit.path.chain),
+                    "delay_ns": culprit.delay_ns,
+                }
+            return entry
+        entry["certifications"] = 1
+        if not cert.ok:
+            floorplan = self._cold_rebuild(entry, cert)
+        entry["result"] = "accepted"
+        entry["certified"] = True
+        entry["floorplan"] = floorplan
+        return entry
+
+    def _gate(self, problem: RemapProblem, outcome):
+        """The acceptance gate on a feasible solve of ``problem``.
+
+        The floorplan must keep the frozen ops in place and, by full STA,
+        the original CPD; then :mod:`repro.verify`, a code path sharing
+        nothing with the incremental compile/re-stamp machinery, certifies
+        it and the backend solution.  Returns ``(floorplan, report,
+        certificate)``; the certificate is None when the CPD grew.
+        """
+        from repro.verify.certifier import certify_remap
+
+        original, graphs = self.inputs.original, self.inputs.graphs
+        floorplan = outcome.floorplan(original, problem.frozen)
+        check_frozen_ops(original, floorplan, problem.frozen.positions)
+        with span("sta_verify"):
+            report = analyze(problem.design, floorplan, graphs)
+        if report.cpd_ns > problem.cpd_ns + CPD_EPS:
+            return floorplan, report, None
+        with span("certify", iteration=self.iterations, model=problem.name):
+            cert = certify_remap(
+                problem.design, floorplan, problem.frozen.positions,
+                self.st_target_ns, problem.cpd_ns,
+                model=problem.model,
+                solution=outcome.solution,
+                graphs=graphs,
+            )
+        return floorplan, report, cert
+
+    def _cold_rebuild(self, entry: dict, cert) -> Floorplan:
+        """One cold re-solve after a failed certification.
+
+        A cold copy of the problem (fresh lowering, lazy rows re-added) is
+        solved at the same target and passed through the same gate.  If it
+        certifies, the cached model state was corrupt and the cold problem
+        replaces it; otherwise a :class:`CertificationError` goes to the
+        degradation ladder.  The cold build cannot bust the budget: the
+        cached model was built at a target no higher.
+        """
+        design, iteration = self.problem.design, self.iterations
+        entry["cert_failures"] = 1
         _log.warning(
-            "%s: solver path failed (%s: %s); trying greedy "
-            "stress-levelling fallback",
-            design.name, type(failure).__name__, failure,
+            "%s: iteration %d failed certification; cold-rebuilding the model",
+            design.name, iteration,
         )
-        # The greedy rung pins critical-path ops at their *original* PEs
-        # (freeze semantics) regardless of mode: the descent starts from
-        # the original floorplan, and rotation is meaningful only for the
-        # MILP path that re-solves around the rotated pins.
-        pinned = {op: original.pe_of[op] for op in frozen.positions}
-        candidate = greedy_stress_level_remap(
-            design, fabric, original, pinned, graphs=graphs
-        )
-        if candidate is not None:
-            check_frozen_ops(original, candidate, pinned)
-            with span("sta_verify"):
-                fallback_report = analyze(design, candidate, graphs)
-            if fallback_report.cpd_ns <= cpd_orig + CPD_EPS:
-                best = candidate
-                final_cpd = fallback_report.cpd_ns
-                degradation = "greedy"
-                st_target = compute_stress_map(
-                    design, candidate
-                ).max_accumulated_ns
+        counter("verify.cold_rebuilds").inc()
         event(
-            "algorithm1.degraded",
+            "certification.cold_rebuild",
             benchmark=design.name,
-            level=degradation if best is not None else "original",
-            reason=type(failure).__name__,
-            detail=str(failure),
+            iteration=iteration,
+            violations=[v.kind for v in cert.violations[:8]],
         )
-
-    fell_back = best is None
-    if fell_back:
-        # Ladder rung 3 (also the paper's unconditional fallback when the
-        # relax loop exhausts its budget): keep the original floorplan.
-        counter("algorithm1.fallbacks").inc()
-        event("algorithm1.fallback", benchmark=design.name, iterations=iterations)
-        best = original
-        final_cpd = cpd_orig
-        st_target = original_stress.max_accumulated_ns
-        degradation = "original"
-    if step1 is None:
-        step1 = StressTargetResult(
-            st_target_ns=st_target,
-            st_low_ns=original_stress.mean_accumulated_ns,
-            st_up_ns=original_stress.max_accumulated_ns,
-            stats={"skipped": "degraded before Step 1 completed"},
+        entry["cert_cold_rebuild"] = True
+        cold = self.problem.cold_copy()
+        outcome = cold.solve(
+            self.st_target_ns, self.config.remap, self.backend,
+            retry_unfixed=True,
         )
-    alg1.final_st_target_ns = st_target
-    event(
-        "algorithm1.stats",
-        benchmark=design.name,
-        degradation=degradation,
-        **alg1.to_dict(),
-    )
-    stats = {
-        "iterations": iteration_log,
-        "path_filter_truncated": filtered.truncated,
-        "algorithm1": alg1.to_dict(),
-        "explanations": explanations,
-    }
-    if failure is not None:
-        stats["degradation_reason"] = f"{type(failure).__name__}: {failure}"
-    return RemapResult(
-        floorplan=best,
-        st_target_ns=st_target,
-        original_cpd_ns=cpd_orig,
-        final_cpd_ns=final_cpd,
-        iterations=iterations,
-        fell_back=fell_back,
-        frozen=frozen,
-        step1=step1,
-        monitored_count=len(monitored),
-        critical_op_count=len(frozen.positions),
-        stats=stats,
-        degradation=degradation,
-        alg1=alg1,
-        certified=certified,
-    )
+        if outcome.feasible:
+            floorplan, report, cold_cert = self._gate(cold, outcome)
+            if cold_cert is not None:
+                entry["certifications"] = 2
+                if cold_cert.ok:
+                    entry["new_cpd_ns"] = report.cpd_ns
+                    self.problem = cold
+                    return floorplan
+        cert.raise_if_failed(f"{design.name} iteration {iteration}")
+        raise CertificationError(  # pragma: no cover - raise_if_failed always raises
+            f"{design.name} iteration {iteration} failed certification"
+        )
 
 
 #: Per-solve :class:`SolveStats` keys of an iteration (or Step-1) entry.
@@ -485,7 +686,7 @@ def _resolve_at_same_target(entry: dict) -> bool:
 
 
 def _violated_paths(
-    floorplan: Floorplan, graphs, report, cpd_orig: float, max_paths: int
+    floorplan: Floorplan, graphs, report, cpd_orig: float
 ) -> list[MonitoredPath]:
     """Every path of ``floorplan`` whose delay exceeds the original CPD."""
     threshold = cpd_orig + CPD_EPS
@@ -495,7 +696,7 @@ def _violated_paths(
             continue
         found, _truncated = enumerate_context_paths(
             graph, floorplan, threshold_ns=threshold,
-            context_cpd_ns=timing.cpd_ns, max_paths=max_paths,
+            context_cpd_ns=timing.cpd_ns, max_paths=DEFAULT_MAX_PATHS,
         )
         paths.extend(found)
     return paths
@@ -529,16 +730,7 @@ def _explain_iteration(benchmark: str, entry: dict, cpd_orig: float) -> dict:
     return cause
 
 
-def _explain_terminal(
-    benchmark: str,
-    alg1: Algorithm1Stats,
-    failure: Exception | None,
-    iterations: int,
-    config: Algorithm1Config,
-    st_target: float,
-    st_ceiling: float,
-    model,
-) -> dict:
+def _explain_terminal(loop: RelaxLoop, failure: Exception | None) -> dict:
     """Root cause of a run that ended with no accepted floorplan.
 
     When the final verdict was an infeasible solve and the Eq. (3) model
@@ -548,24 +740,25 @@ def _explain_terminal(
     feasible`` here — the model re-checks feasible — which is recorded
     honestly rather than papered over.
     """
+    budget, st_target = loop.config.max_iterations, loop.st_target_ns
+    st_ceiling = loop.inputs.st_ceiling_ns
     if failure is not None:
         terminal = {
             "DeadlineExceededError": "deadline",
             "CertificationError": "certification_failed",
         }.get(type(failure).__name__, "solver_error")
         detail = str(failure)
-    elif iterations >= config.max_iterations:
+    elif loop.iterations >= budget:
         terminal = "iteration_budget_exhausted"
         detail = (
-            f"all {config.max_iterations} iterations of the budget ran "
+            f"all {budget} iterations of the budget ran "
             "without an accepted floorplan"
         )
     elif st_target > st_ceiling:
         terminal = "st_ceiling_exhausted"
         detail = (
             f"ST_target {st_target:.3f}ns exceeded the ceiling "
-            f"{st_ceiling:.3f}ns (st_ceiling_factor="
-            f"{config.st_ceiling_factor})"
+            f"{st_ceiling:.3f}ns ({ST_CEILING_FACTOR} x ST_up)"
         )
     else:
         terminal = "no_iterations"
@@ -574,234 +767,16 @@ def _explain_terminal(
         "cause": "terminal",
         "terminal_cause": terminal,
         "detail": detail,
-        "iterations": iterations,
+        "iterations": loop.iterations,
         "st_target_ns": st_target,
-        "verdicts": list(alg1.verdicts),
+        "verdicts": list(loop.stats.verdicts),
     }
-    last_verdict = alg1.verdicts[-1] if alg1.verdicts else ""
-    if model is not None and last_verdict == "infeasible":
+    model = loop.problem.model
+    if model is not None and cause["verdicts"][-1:] == ["infeasible"]:
         from repro.explain import find_iis
 
         with span("explain_iis", model=model.name):
             iis = find_iis(model, time_limit_s=10.0)
         cause["iis"] = iis.to_dict()
-    event("algorithm1.explain", benchmark=benchmark, **cause)
+    event("algorithm1.explain", benchmark=loop.problem.design.name, **cause)
     return cause
-
-
-def _run_iteration(
-    design: MappedDesign,
-    fabric: Fabric,
-    original: Floorplan,
-    config: Algorithm1Config,
-    backend: ScipyBackend,
-    frozen: FrozenPlan,
-    candidates: dict[int, list[int]],
-    monitored,
-    cpd_orig: float,
-    st_target: float,
-    iteration: int,
-    graphs,
-    lazy_rows: list,
-    model=None,
-    variables=None,
-) -> tuple:
-    """One solve attempt of the relax loop.
-
-    The Eq. (3) model is built on the first call and threaded back in by
-    the caller afterwards: later iterations only re-stamp the ``st_target``
-    RHS parameter on the cached lowering (:func:`restamp_remap_model`).
-
-    On a CPD violation every path over the original CPD becomes an Eq. (5)
-    row of the live model; the paths are appended to ``lazy_rows`` as
-    ``(iteration, paths)`` so a cold rebuild can re-add them.
-
-    Returns ``(entry, model, variables)``; ``entry["result"]``
-    is one of ``accepted``, ``infeasible``, ``cpd_violation`` or
-    ``frozen_budget_infeasible``, ``entry["rows_added"]`` counts the lazy
-    rows it added, and an accepted entry additionally carries the
-    candidate ``floorplan``.
-    """
-    if model is None:
-        # Built lazily (and re-tried each iteration while the frozen
-        # stress alone busts the budget: a relaxed target can admit a
-        # model that a tighter one could not).
-        try:
-            model, variables, build_stats = build_remap_model(
-                design, fabric, frozen, candidates, monitored,
-                cpd_orig, st_target, name="remap",
-            )
-        except BudgetInfeasibleError as exc:
-            entry = {
-                "iteration": iteration,
-                "st_target_ns": st_target,
-                "result": "frozen_budget_infeasible",
-                "rows_added": 0,
-                "pe": getattr(exc, "pe_index", None),
-                "frozen_ns": getattr(exc, "frozen_ns", None),
-            }
-            return entry, None, None
-    else:
-        restamp_remap_model(model, st_target)
-        build_stats = {"restamped": True}
-    outcome = solve_remap(
-        model, variables, config.remap, backend,
-        _greedy_context(design, fabric, frozen, st_target),
-        retry_unfixed=True,
-    )
-    entry = {
-        "iteration": iteration,
-        "st_target_ns": st_target,
-        "rows_added": 0,
-        **build_stats,
-        **outcome.stats,
-    }
-    if not outcome.feasible:
-        entry["result"] = "infeasible"
-        return entry, model, variables
-    candidate_fp = outcome.floorplan(original, frozen)
-    check_frozen_ops(original, candidate_fp, frozen.positions)
-    with span("sta_verify"):
-        new_report = analyze(design, candidate_fp, graphs)
-    entry["new_cpd_ns"] = new_report.cpd_ns
-    if new_report.cpd_ns <= cpd_orig + CPD_EPS:
-        return _certify_accepted(
-            design, fabric, original, config, backend, frozen,
-            candidates, monitored, cpd_orig, st_target, iteration,
-            graphs, lazy_rows, entry, candidate_fp, outcome, model,
-            variables,
-        )
-    entry["result"] = "cpd_violation"
-    paths = _violated_paths(
-        candidate_fp, graphs, new_report, cpd_orig, config.max_paths
-    )
-    if paths:
-        # A path between fixed endpoints only yields no row (the loop then
-        # relaxes by Delta, which cannot repair it either).
-        added, _frozen = add_lazy_path_rows(
-            variables, design, fabric, frozen, paths, cpd_orig, iteration
-        )
-        lazy_rows.append((iteration, paths))
-        counter("algorithm1.lazy_path_rows").inc(added)
-        entry["rows_added"] = added
-        culprit = max(paths, key=lambda monitored: monitored.delay_ns)
-        entry["culprit"] = {
-            "context": culprit.path.context,
-            "ops": list(culprit.path.chain),
-            "delay_ns": culprit.delay_ns,
-        }
-    return entry, model, variables
-
-
-def _greedy_context(design, fabric, frozen: FrozenPlan, st_target: float):
-    return GreedyContext(
-        design=design,
-        fabric=fabric,
-        frozen_positions=frozen.positions,
-        st_target_ns=st_target,
-        frozen_stress_ns=frozen_stress_by_pe(design, frozen),
-    )
-
-
-def _certify_accepted(
-    design,
-    fabric,
-    original,
-    config: Algorithm1Config,
-    backend,
-    frozen: FrozenPlan,
-    candidates,
-    monitored,
-    cpd_orig: float,
-    st_target: float,
-    iteration: int,
-    graphs,
-    lazy_rows: list,
-    entry: dict,
-    candidate_fp: Floorplan,
-    outcome,
-    model,
-    variables,
-) -> tuple:
-    """Trust-but-verify gate on an accepted iteration.
-
-    The floorplan (and, when a backend solution exists, the solution
-    itself) is re-checked by :mod:`repro.verify` — an independent code
-    path sharing nothing with the incremental compile/restamp machinery.
-    On failure, the Eq. (3) model is rebuilt **cold** (fresh lowering, the
-    lazy path rows re-added) and re-solved once: if the cold result
-    certifies, the stale model state was corrupt and the cold model
-    replaces it for the remaining iterations.  If even the cold path
-    fails, a :class:`CertificationError` propagates to the
-    degradation ladder.
-    """
-    from repro.verify.certifier import certify_remap
-
-    with span("certify", iteration=iteration):
-        cert = certify_remap(
-            design, candidate_fp, frozen.positions, st_target, cpd_orig,
-            model=model,
-            solution=outcome.solution,
-            graphs=graphs,
-        )
-    entry["certifications"] = 1
-    if cert.ok:
-        entry["result"] = "accepted"
-        entry["certified"] = True
-        entry["floorplan"] = candidate_fp
-        return entry, model, variables
-    entry["cert_failures"] = 1
-    _log.warning(
-        "%s: iteration %d failed certification; cold-rebuilding the model",
-        design.name, iteration,
-    )
-    counter("verify.cold_rebuilds").inc()
-    event(
-        "certification.cold_rebuild",
-        benchmark=design.name,
-        iteration=iteration,
-        violations=[v.kind for v in cert.violations[:8]],
-    )
-    entry["cert_cold_rebuild"] = True
-    try:
-        cold_model, cold_vars, _cold_stats = build_remap_model(
-            design, fabric, frozen, candidates, monitored,
-            cpd_orig, st_target, name="remap_cold",
-        )
-    except BudgetInfeasibleError:
-        cert.raise_if_failed(f"{design.name} iteration {iteration}")
-    for lazy_iteration, paths in lazy_rows:
-        add_lazy_path_rows(
-            cold_vars, design, fabric, frozen, paths, cpd_orig, lazy_iteration
-        )
-    cold_outcome = solve_remap(
-        cold_model, cold_vars, config.remap, backend,
-        _greedy_context(design, fabric, frozen, st_target),
-        retry_unfixed=True,
-    )
-    if cold_outcome.feasible:
-        cold_fp = cold_outcome.floorplan(original, frozen)
-        check_frozen_ops(original, cold_fp, frozen.positions)
-        with span("sta_verify"):
-            cold_report = analyze(design, cold_fp, graphs)
-        if cold_report.cpd_ns <= cpd_orig + CPD_EPS:
-            with span("certify", iteration=iteration, cold_rebuild=True):
-                cold_cert = certify_remap(
-                    design, cold_fp, frozen.positions, st_target, cpd_orig,
-                    model=cold_model,
-                    solution=cold_outcome.solution,
-                    graphs=graphs,
-                )
-            entry["certifications"] = 2
-            if cold_cert.ok:
-                entry["result"] = "accepted"
-                entry["certified"] = True
-                entry["new_cpd_ns"] = cold_report.cpd_ns
-                entry["floorplan"] = cold_fp
-                # The cold model supersedes the corrupt cached one for the
-                # rest of the relax loop.
-                return entry, cold_model, cold_vars
-    cert.raise_if_failed(f"{design.name} iteration {iteration}")
-    raise CertificationError(  # pragma: no cover - raise_if_failed always raises
-        f"{design.name} iteration {iteration} failed certification"
-    )

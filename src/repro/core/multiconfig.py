@@ -8,13 +8,16 @@ floorplans, every one individually CPD-safe (same frozen critical paths,
 same path constraints), whose *cumulative* stress across the rotation
 period is levelled jointly.
 
-Configuration ``i`` is solved with the stress already committed by
-configurations ``0..i-1`` added to each PE's budget baseline, and the set
-budget grows as ``(i+1) * ST_single`` — so later configurations are pushed
-onto PEs the earlier ones spared.  With K configurations the worst PE's
-*time-averaged* duty approaches the fabric mean, which is the best any
-levelling scheme can do; the marginal gain therefore shrinks with K
-(the ablation benchmark measures this saturation).
+Configuration ``i`` runs Algorithm 1's relax loop with the stress that
+configurations ``0..i-1`` committed carried into each PE's budget
+baseline, from the set budget ``(i+1) * ST_single`` up to ``i+1`` times
+Algorithm 1's ceiling, so later configurations are pushed onto PEs the
+earlier ones spared.  The time-averaged worst PE is bounded by that
+budget over K, but nothing drives it below one configuration's: each
+configuration accepts the first floorplan that fits, and ``ST_single``
+(Step 1's bound) sits above what K = 1 reaches.  On B19 (4x4) the worst
+PE reads 5.405 ns for K = 1, 5.469 ns for K = 2 and 5.485 ns for K = 3
+(EXPERIMENTS.md, X1).
 
 The deployment model matches [8]: the runtime swaps configurations slowly
 (hours), so thermal steady state applies per configuration and the NBTI
@@ -31,25 +34,15 @@ from repro.aging.mttf import MttfReport, compute_mttf
 from repro.aging.stress import StressMap, compute_stress_map
 from repro.arch.context import Floorplan
 from repro.arch.fabric import Fabric
-from repro.core.algorithm1 import Algorithm1Config, CPD_EPS
-from repro.core.remap import (
-    GreedyContext,
-    default_candidates,
-    frozen_stress_by_pe,
-    solve_remap,
+from repro.core.algorithm1 import Algorithm1Config, RelaxLoop, prepare_phase2
+from repro.errors import (
+    CertificationError,
+    DeadlineExceededError,
+    FlowError,
+    SolverError,
 )
-from repro.core.rotation import freeze_plan, rotate_plan
-from repro.core.targets import (
-    default_delta_ns,
-    relaxed_target,
-    stress_target_lower_bound,
-)
-from repro.errors import BudgetInfeasibleError, FlowError
 from repro.hls.allocate import MappedDesign
 from repro.thermal.hotspot import ThermalSimulator
-from repro.timing.graph import build_timing_graphs
-from repro.timing.kpaths import filter_paths
-from repro.timing.sta import all_critical_paths, analyze
 
 
 @dataclass
@@ -93,112 +86,52 @@ def build_rotation_set(
     """Generate K jointly-levelled, individually CPD-safe floorplans.
 
     Every configuration freezes the same critical paths as the single-
-    floorplan flow (in Freeze positions — rotation of frozen paths across
-    *configurations* is redundant here, because the movable mass already
-    migrates), monitors the same paths, and is verified against the
-    original CPD before being admitted.
+    floorplan flow (rotated in Rotate mode, in place in Freeze mode),
+    monitors the same paths, and passes Algorithm 1's acceptance gate
+    (full STA against the original CPD, then certification) before being
+    admitted.  A configuration whose relax loop finds no floorplan repeats
+    the previous one (the original floorplan for the first).
     """
     if k < 1:
         raise FlowError(f"rotation set size must be >= 1, got {k}")
     config = config or Algorithm1Config()
     backend = config.remap.make_backend()
-    import random
-
-    rng = random.Random(config.seed)
-
-    graphs = build_timing_graphs(design)
-    report = analyze(design, original, graphs)
-    cpd = report.cpd_ns
-
-    critical_by_context: dict[int, list[int]] = {}
-    for path in all_critical_paths(design, original, graphs, report):
-        bucket = critical_by_context.setdefault(path.context, [])
-        for op in path.chain:
-            if op not in bucket:
-                bucket.append(op)
-    if config.mode == "rotate" and fabric.is_square():
-        stress_of = {op: info.stress_ns for op, info in design.ops.items()}
-        frozen = rotate_plan(
-            original, critical_by_context, stress_of, rng,
-            samples=config.rotation_samples,
-        )
-    else:
-        frozen = freeze_plan(original, critical_by_context)
-
-    monitored = filter_paths(
-        design, original,
-        retention=config.retention, max_paths=config.max_paths,
-        graphs=graphs, report=report,
-    ).non_critical
-
-    original_stress = compute_stress_map(design, original)
-    step1 = stress_target_lower_bound(
-        design, fabric, original, original_stress,
-        config=config.remap, delta_ns=config.delta_ns, backend=backend,
-    )
-    st_single = step1.st_target_ns
-    delta = (
-        config.delta_ns if config.delta_ns is not None
-        else default_delta_ns(original_stress)
-    )
-    candidates = default_candidates(
-        design, original, frozen, fabric, config.remap.resolved_window(fabric)
-    )
+    inputs = prepare_phase2(design, fabric, original, config)
+    st_single = inputs.step1(config, backend).st_target_ns
 
     floorplans: list[Floorplan] = []
     per_config_max: list[float] = []
-    carryover = np.zeros(fabric.num_pes)
+    carried = np.zeros(fabric.num_pes)
     stats: dict = {"configs": [], "st_single_ns": st_single}
 
     for index in range(k):
-        accepted: Floorplan | None = None
-        attempts = 0
-        while accepted is None and attempts < config.max_iterations:
-            target = relaxed_target(st_single * (index + 1), delta, attempts)
-            attempts += 1
-            # The budget baseline of configuration `index` is the stress
-            # committed by configurations 0..index-1 (carryover) plus this
-            # configuration's own frozen ops (added inside the builder).
-            try:
-                model, variables, _ = _build_with_baseline(
-                    design, fabric, frozen, candidates, monitored, cpd,
-                    target, carryover, config,
-                )
-            except BudgetInfeasibleError:
-                continue
-            baseline = frozen_stress_by_pe(design, frozen)
-            for pe in range(fabric.num_pes):
-                baseline[pe] = baseline.get(pe, 0.0) + float(carryover[pe])
-            greedy_ctx = GreedyContext(
-                design=design,
-                fabric=fabric,
-                frozen_positions=frozen.positions,
-                st_target_ns=target,
-                frozen_stress_ns=baseline,
-            )
-            outcome = solve_remap(
-                model, variables, config.remap, backend, greedy_ctx
-            )
-            if not outcome.feasible:
-                continue
-            candidate = outcome.floorplan(original, frozen)
-            if analyze(design, candidate, graphs).cpd_ns <= cpd + CPD_EPS:
-                accepted = candidate
-        if accepted is None:
-            # Could not extend the set; fall back to repeating the last
-            # configuration (or the original when none exists yet).
-            accepted = floorplans[-1] if floorplans else original
-            stats["configs"].append({"index": index, "fell_back": True})
-        else:
-            stats["configs"].append(
-                {"index": index, "fell_back": False, "attempts": attempts,
-                 "set_target_ns": target}
-            )
-        floorplans.append(accepted)
-        carryover += compute_stress_map(design, accepted).accumulated_ns
-        per_config_max.append(
-            float(compute_stress_map(design, accepted).max_accumulated_ns)
+        # Configuration `index` starts from the stress that configurations
+        # 0..index-1 committed, under a set budget of (index+1) * ST_single.
+        loop = RelaxLoop(
+            inputs, inputs.problem(dict(enumerate(carried.tolist()))),
+            config, backend,
         )
+        try:
+            accepted = loop.run(
+                st_single * (index + 1), inputs.st_ceiling_ns * (index + 1)
+            )
+        except (SolverError, DeadlineExceededError, CertificationError):
+            accepted = None
+        record = {
+            "index": index,
+            "fell_back": accepted is None,
+            "iterations": loop.iterations,
+            "rows_added": loop.stats.lazy_path_rows,
+        }
+        if accepted is None:
+            accepted = floorplans[-1] if floorplans else original
+        else:
+            record["set_target_ns"] = loop.st_target_ns
+        stats["configs"].append(record)
+        floorplans.append(accepted)
+        stress = compute_stress_map(design, accepted)
+        carried += stress.accumulated_ns
+        per_config_max.append(float(stress.max_accumulated_ns))
 
     combined = combined_stress_map(design, floorplans)
     simulator = ThermalSimulator(fabric)
@@ -209,36 +142,6 @@ def build_rotation_set(
         combined_stress=combined,
         mttf=mttf,
         per_config_max_ns=per_config_max,
-        cumulative_max_ns=float(carryover.max()),
+        cumulative_max_ns=float(carried.max()),
         stats=stats,
     )
-
-
-def _build_with_baseline(
-    design, fabric, frozen, candidates, monitored, cpd,
-    target, carryover, config,
-):
-    """build_remap_model with an extra per-PE committed-stress baseline."""
-    from repro.core.constraints import (
-        add_assignment_variables,
-        add_exclusivity_constraints,
-        add_path_constraints,
-        add_stress_constraints,
-        build_coordinates,
-        collect_endpoints,
-    )
-    from repro.milp.model import Model
-
-    model = Model("rotation_set")
-    variables = add_assignment_variables(model, candidates, design)
-    add_exclusivity_constraints(variables, design, fabric.num_pes)
-    baseline = frozen_stress_by_pe(design, frozen)
-    for pe in range(fabric.num_pes):
-        baseline[pe] = baseline.get(pe, 0.0) + float(carryover[pe])
-    add_stress_constraints(
-        variables, design, fabric.num_pes, target, baseline, fabric=fabric
-    )
-    endpoints = collect_endpoints(monitored)
-    build_coordinates(variables, design, fabric, frozen.positions, endpoints)
-    add_path_constraints(variables, design, fabric, monitored, cpd)
-    return model, variables, {}

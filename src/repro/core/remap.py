@@ -17,14 +17,17 @@ On large fabrics a dense op x PE variable grid is intractable (the paper's
 own motivation for the two-step method).  ``default_candidates`` can limit
 each op to the ``window`` nearest PEs around its original location plus a
 deterministic spread sample across the fabric (so stress can still be
-exported to far-away idle PEs).  ``window=None`` (the default for fabrics
-up to 64 PEs) gives every op every PE, exactly as in Eq. (3).
+exported to far-away idle PEs).  ``window=None`` (what
+:func:`resolved_window` gives fabrics up to 64 PEs) gives every op every
+PE, exactly as in Eq. (3).
+
+Step 1, Algorithm 1 and rotation sets each solve a :class:`RemapProblem`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from repro.arch.context import Floorplan
@@ -44,6 +47,7 @@ from repro.errors import ModelError
 from repro.hls.allocate import MappedDesign, topological_order
 from repro.milp.model import Model
 from repro.milp.rounding import (
+    DEFAULT_FIX_THRESHOLD,
     extract_assignment,
     randomized_round,
     threshold_fix,
@@ -56,6 +60,15 @@ from repro.timing.kpaths import MonitoredPath
 #: Fabric size (PEs) up to which every op gets every PE as a candidate.
 FULL_CANDIDATE_LIMIT = 64
 
+#: Binary-variable count above which a solve given a :class:`GreedyContext`
+#: tries the greedy completion before the residual ILP; at or below it,
+#: the unfixed residual-ILP retry may run.
+GREEDY_THRESHOLD = 6000
+
+#: Score bonus (grid units of wirelength) the greedy completion gives a
+#: candidate PE per unit of LP mass.
+GREEDY_LP_BIAS = 2.0
+
 
 @dataclass
 class RemapConfig:
@@ -63,29 +76,18 @@ class RemapConfig:
 
     strategy: str = "two-step"  # "two-step" | "monolithic"
     rounding: str = "threshold"  # "threshold" | "randomized"
-    fix_threshold: float = 0.95
-    candidate_window: int | None = None  # None = auto by fabric size
     time_limit_s: float | None = 60.0
-    #: How to turn the (fractional) LP solution into the final binding:
-    #: "ilp"    — the paper's residual ILP, always;
-    #: "greedy" — LP-guided greedy completion (stress/slot feasible by
-    #:            construction; timing re-verified by Algorithm 1's STA);
-    #: "auto"   — greedy first on large models (where an open single-core
-    #:            MIP solver cannot find an incumbent within the time
-    #:            limit, unlike the paper's CPLEX), ILP fallback/default.
-    completion: str = "auto"
-    #: Binary-variable count above which "auto" prefers the greedy pass;
-    #: at or below it, the unfixed residual-ILP retry may run.
-    greedy_threshold: int = 6000
+    #: Seed of the randomized rounding.
     seed: int = 2020
 
     def make_backend(self):
         return ScipyBackend(time_limit=self.time_limit_s)
 
-    def resolved_window(self, fabric: Fabric) -> int | None:
-        if self.candidate_window is not None:
-            return self.candidate_window
-        return None if fabric.num_pes <= FULL_CANDIDATE_LIMIT else FULL_CANDIDATE_LIMIT
+
+def resolved_window(fabric: Fabric) -> int | None:
+    """Candidate window of ``fabric``: every PE (None) up to
+    :data:`FULL_CANDIDATE_LIMIT` PEs, that many nearest PEs above it."""
+    return None if fabric.num_pes <= FULL_CANDIDATE_LIMIT else FULL_CANDIDATE_LIMIT
 
 
 @dataclass
@@ -172,14 +174,19 @@ def build_remap_model(
     monitored_paths: Sequence[MonitoredPath],
     cpd_ns: float,
     st_target_ns: float,
+    committed_ns: Mapping[int, float] | None = None,
     name: str = "remap",
     objective: str = "null",
 ) -> tuple[Model, RemapVariables, dict]:
     """Assemble Eq. (3) for one ``ST_target``; returns model + variables + stats.
 
+    ``committed_ns`` is the stress already on each PE before any movable
+    op lands; by default the frozen ops' (:func:`frozen_stress_by_pe`).
     ``objective="wirelength"`` serves the ``repro verify --certify-backend``
     oracle, which compares two solvers' optima.
     """
+    if committed_ns is None:
+        committed_ns = frozen_stress_by_pe(design, frozen)
     with span("milp_build", model=name) as build_span:
         model = Model(name)
         variables = add_assignment_variables(model, candidates, design)
@@ -189,7 +196,7 @@ def build_remap_model(
             design,
             fabric.num_pes,
             st_target_ns,
-            frozen_stress_by_pe(design, frozen),
+            committed_ns,
             fabric=fabric,
         )
         endpoints = collect_endpoints(monitored_paths)
@@ -215,40 +222,6 @@ def build_remap_model(
     return model, variables, stats
 
 
-def add_lazy_path_rows(
-    variables: RemapVariables,
-    design: MappedDesign,
-    fabric: Fabric,
-    frozen: FrozenPlan,
-    paths: Sequence[MonitoredPath],
-    cpd_ns: float,
-    iteration: int,
-) -> tuple[int, int]:
-    """Add lazy Eq. (5) rows for ``paths`` to an assembled model; they
-    survive ``ST_target`` re-stamps.  Returns what
-    :func:`~repro.core.constraints.add_path_constraints` returns."""
-    build_coordinates(
-        variables, design, fabric, frozen.positions, collect_endpoints(paths)
-    )
-    return add_path_constraints(
-        variables, design, fabric, paths, cpd_ns, lazy_iteration=iteration
-    )
-
-
-def restamp_remap_model(model: Model, st_target_ns: float) -> None:
-    """Re-aim an assembled Eq. (3) model at a new ``ST_target``.
-
-    The stress constraints are registered against the ``"st_target"``
-    parameter at build time, so this is an O(stress rows) RHS re-stamp on
-    the cached lowering — no expression re-traversal, no new model.  Any
-    pre-mapping fixes from the previous solve are reopened first.
-    """
-    with span("milp_restamp", model=model.name, st_target_ns=st_target_ns):
-        model.unfix_all()
-        model.set_parameter("st_target", st_target_ns)
-    counter("milp.models_restamped").inc()
-
-
 @dataclass
 class GreedyContext:
     """Inputs the LP-guided greedy completion needs beyond the model.
@@ -263,8 +236,109 @@ class GreedyContext:
     st_target_ns: float
     frozen_stress_ns: Mapping[int, float]
 
-    #: Score bonus (grid units of wirelength) for following the LP mass.
-    lp_bias: float = 2.0
+
+@dataclass
+class RemapProblem:
+    """One Eq. (3) problem of Phase 2 and, once built, its model.
+
+    The stress committed on each PE before any movable op lands is the
+    frozen ops' plus ``carried_ns`` (in a rotation set, what the earlier
+    configurations left there).  The first :meth:`solve` builds the model.
+    Later ones re-stamp it: the stress rows are registered against the
+    ``st_target`` parameter, so that is an O(stress rows) RHS re-stamp on
+    the cached lowering, after reopening the previous pre-mapping.  Lazy
+    path rows are recorded, so a :meth:`cold_copy` carries them too.
+    """
+
+    design: MappedDesign
+    fabric: Fabric
+    frozen: FrozenPlan
+    candidates: Mapping[int, Sequence[int]]
+    monitored: Sequence[MonitoredPath]
+    cpd_ns: float
+    carried_ns: Mapping[int, float] = field(default_factory=dict)
+    name: str = "remap"
+    #: Lazy path rows added so far, as ``(iteration, paths)``.
+    lazy_rows: list = field(default_factory=list)
+    committed_ns: dict[int, float] = field(init=False)
+    model: Model | None = field(default=None, init=False)
+    variables: RemapVariables | None = field(default=None, init=False)
+
+    def __post_init__(self) -> None:
+        self.committed_ns = frozen_stress_by_pe(self.design, self.frozen)
+        for pe_index, stress in self.carried_ns.items():
+            self.committed_ns[pe_index] = (
+                self.committed_ns.get(pe_index, 0.0) + stress
+            )
+
+    def build(self, st_target_ns: float) -> dict:
+        """Assemble the model, lazy rows included; returns the build stats.
+        A :class:`~repro.errors.BudgetInfeasibleError` leaves it unbuilt."""
+        self.model, self.variables, stats = build_remap_model(
+            self.design, self.fabric, self.frozen, self.candidates,
+            self.monitored, self.cpd_ns, st_target_ns,
+            committed_ns=self.committed_ns, name=self.name,
+        )
+        for iteration, paths in self.lazy_rows:
+            self._add_rows(paths, iteration)
+        return stats
+
+    def solve(
+        self,
+        st_target_ns: float,
+        config: RemapConfig,
+        backend: ScipyBackend,
+        retry_unfixed: bool = False,
+    ) -> RemapOutcome:
+        """Solve at ``st_target_ns``; the outcome's stats lead with the
+        build stats, or with ``restamped``."""
+        if self.model is None:
+            stamped = self.build(st_target_ns)
+        else:
+            with span(
+                "milp_restamp", model=self.name, st_target_ns=st_target_ns
+            ):
+                self.model.unfix_all()
+                self.model.set_parameter("st_target", st_target_ns)
+            counter("milp.models_restamped").inc()
+            stamped = {"restamped": True}
+        greedy = GreedyContext(
+            design=self.design,
+            fabric=self.fabric,
+            frozen_positions=self.frozen.positions,
+            st_target_ns=st_target_ns,
+            frozen_stress_ns=self.committed_ns,
+        )
+        outcome = solve_remap(
+            self.model, self.variables, config, backend, greedy, retry_unfixed
+        )
+        outcome.stats = {**stamped, **outcome.stats}
+        return outcome
+
+    def add_path_rows(
+        self, paths: Sequence[MonitoredPath], iteration: int
+    ) -> int:
+        """Add ``paths`` as lazy Eq. (5) rows, which survive re-stamps;
+        returns how many rows that made."""
+        self.lazy_rows.append((iteration, paths))
+        return self._add_rows(paths, iteration)
+
+    def _add_rows(self, paths, iteration: int) -> int:
+        build_coordinates(
+            self.variables, self.design, self.fabric, self.frozen.positions,
+            collect_endpoints(paths),
+        )
+        added, _frozen = add_path_constraints(
+            self.variables, self.design, self.fabric, paths, self.cpd_ns,
+            lazy_iteration=iteration,
+        )
+        return added
+
+    def cold_copy(self) -> RemapProblem:
+        """This problem unbuilt, named ``<name>_cold``."""
+        return replace(
+            self, name=f"{self.name}_cold", lazy_rows=list(self.lazy_rows)
+        )
 
 
 def _greedy_complete(
@@ -279,7 +353,8 @@ def _greedy_complete(
     — the property that protects the CPD.  Each op takes the feasible
     candidate PE (slot free in its context, stress budget respected)
     minimising the weighted wire cost to already-placed neighbours (intra-
-    context combinational wires weigh most) minus ``lp_bias * LP mass``.
+    context combinational wires weigh most) minus
+    :data:`GREEDY_LP_BIAS` times its LP mass.
     Returns None on a dead end (caller falls back to the ILP).
     """
     design, fabric = ctx.design, ctx.fabric
@@ -345,7 +420,7 @@ def _greedy_complete(
                 for point, weight in placed_neighbors
             )
             mass = lp_solution.value(var, 0.0)
-            score = (wire - ctx.lp_bias * mass, pe_index)
+            score = (wire - GREEDY_LP_BIAS * mass, pe_index)
             if best is None or score < best[0]:
                 best = (score, pe_index)
         if best is None:
@@ -369,10 +444,11 @@ def solve_remap(
 ) -> RemapOutcome:
     """Run the configured strategy on an assembled model.
 
-    ``greedy_context`` enables the LP-guided greedy completion on large
-    models (see :class:`GreedyContext`); without it the residual is always
-    solved as an ILP, exactly as in the paper.  ``retry_unfixed`` enables the two-step unfixed retry (Algorithm 1's
-    relax loop; Step 1 keeps the cold pipeline).
+    ``greedy_context`` enables the LP-guided greedy completion on models
+    above :data:`GREEDY_THRESHOLD` binaries; without it the residual is
+    always solved as an ILP, exactly as in the paper.  ``retry_unfixed``
+    enables the two-step unfixed retry (Algorithm 1's relax loop; Step 1
+    keeps the cold pipeline).
     """
     backend = backend or config.make_backend()
     if config.strategy == "monolithic":
@@ -449,17 +525,17 @@ def _solve_two_step(
 ) -> RemapOutcome:
     """The paper's LP-relax -> pre-map -> residual-ILP pipeline.
 
-    On large models (``completion="auto"``/"greedy" with a context), the
-    residual ILP is replaced by an LP-guided greedy completion: open
+    On models above :data:`GREEDY_THRESHOLD` binaries, given a context,
+    the residual ILP is replaced by an LP-guided greedy completion: open
     single-core MIP solvers often cannot produce *any* incumbent on a
     10k+-binary model within the iteration budget, while the paper's
-    CPLEX could.  The greedy result satisfies exclusivity and the stress
+    CPLEX could.  A greedy dead end falls through to the ILP.  The greedy result satisfies exclusivity and the stress
     budget by construction; path delays are re-verified by Algorithm 1's
     full STA pass, which gates every accepted floorplan anyway.
 
     With ``retry_unfixed``, a residual ILP that the threshold pre-mapping
     left proven infeasible is re-solved once with the fixes reopened, on
-    models of at most ``config.greedy_threshold`` binaries: the Null
+    models of at most :data:`GREEDY_THRESHOLD` binaries: the Null
     objective's LP vertex can fix the residual into a corner.  A retry
     cut by a limit keeps the ``infeasible`` verdict.
     """
@@ -479,14 +555,10 @@ def _solve_two_step(
             solve_span.set(status=stats["status"])
             return RemapOutcome(feasible=False, stats=stats)
 
-        use_greedy = greedy_context is not None and (
-            config.completion == "greedy"
-            or (
-                config.completion == "auto"
-                and model.num_binary > config.greedy_threshold
-            )
-        )
-        if use_greedy:
+        if (
+            greedy_context is not None
+            and model.num_binary > GREEDY_THRESHOLD
+        ):
             with span("greedy_complete"):
                 assignment = _greedy_complete(
                     variables, lp_solution, greedy_context
@@ -503,9 +575,7 @@ def _solve_two_step(
 
         groups = variables.groups()
         if config.rounding == "threshold":
-            report = threshold_fix(
-                model, groups, lp_solution, config.fix_threshold
-            )
+            report = threshold_fix(model, groups, lp_solution)
         elif config.rounding == "randomized":
             report = randomized_round(
                 model, groups, lp_solution, random.Random(config.seed)
@@ -528,7 +598,9 @@ def _solve_two_step(
                 groups_fixed=report.groups_fixed,
                 vars_fixed=report.variables_fixed,
                 vars_free=report.variables_free,
-                threshold=report.details.get("threshold", config.fix_threshold),
+                threshold=report.details.get(
+                    "threshold", DEFAULT_FIX_THRESHOLD
+                ),
             )
         stats["ilp_s"] = ilp_solution.solve_seconds
         stats["ilp_status"] = ilp_solution.status.value
@@ -539,7 +611,7 @@ def _solve_two_step(
             and ilp_solution.status is SolveStatus.INFEASIBLE
             and config.rounding == "threshold"
             and report.groups_fixed
-            and model.num_binary <= config.greedy_threshold
+            and model.num_binary <= GREEDY_THRESHOLD
         ):
             model.unfix_all()
             with span("ilp_unfixed"):

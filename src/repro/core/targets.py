@@ -30,12 +30,10 @@ from repro.aging.stress import StressMap
 from repro.arch.context import Floorplan
 from repro.arch.fabric import Fabric
 from repro.core.remap import (
-    GreedyContext,
     RemapConfig,
-    build_remap_model,
+    RemapProblem,
     default_candidates,
-    restamp_remap_model,
-    solve_remap,
+    resolved_window,
 )
 from repro.core.rotation import FrozenPlan
 from repro.errors import ModelError
@@ -80,14 +78,70 @@ def stress_target_lower_bound(
     original: Floorplan,
     original_stress: StressMap,
     config: RemapConfig | None = None,
-    delta_ns: float | None = None,
     backend: ScipyBackend | None = None,
 ) -> StressTargetResult:
     """Scan the delay-unaware ST_target lower bound (Algorithm 1, line 2)."""
+    config = config or RemapConfig()
+    backend = backend or config.make_backend()
+    st_low = original_stress.mean_accumulated_ns
+    st_up = original_stress.max_accumulated_ns
+    delta_ns = default_delta_ns(original_stress)
     with span("binary_search") as search_span:
-        result = _stress_target_lower_bound(
-            design, fabric, original, original_stress, config,
-            delta_ns, backend,
+        if st_up <= 0:
+            raise ModelError(
+                "original floorplan carries no stress; nothing to level"
+            )
+        floor = integrality_floor_ns(design)
+        bumps = 0
+        # A non-positive Δ never reaches the floor: scan it from ST_low.
+        while (
+            delta_ns > 0
+            and relaxed_target(st_low, delta_ns, bumps)
+            < floor - FLOOR_MARGIN_NS
+        ):
+            bumps += 1
+        skips = bumps
+
+        frozen = FrozenPlan(positions={}, orientation_of_context={})
+        problem = RemapProblem(
+            design,
+            fabric,
+            frozen,
+            default_candidates(
+                design, original, frozen, fabric, resolved_window(fabric)
+            ),
+            monitored=(),  # delay-unaware: no path constraints
+            cpd_ns=float("inf"),
+            name="step1",
+        )
+        # One delay-unaware Eq. (3) model serves every bump: each target is
+        # an O(stress rows) re-stamp of the ``st_target`` parameter on the
+        # cached lowering, not a rebuild.
+        build_stats = problem.build(st_up)
+
+        # Find an integral delay-unaware floorplan with the paper's two-step
+        # solve, bumping by delta until one exists.
+        target = relaxed_target(st_low, delta_ns, bumps)
+        while True:
+            # The paper's cold two-step pipeline, as in every relax-loop
+            # solve; only the relax loop adds the unfixed residual-ILP retry.
+            outcome = problem.solve(target, config, backend)
+            if outcome.feasible:
+                break
+            bumps += 1
+            target = relaxed_target(st_low, delta_ns, bumps)
+            if target > st_up + delta_ns:
+                # The original binding is integral and feasible at st_up.
+                target = st_up
+                break
+        result = StressTargetResult(
+            st_target_ns=target,
+            st_low_ns=st_low,
+            st_up_ns=st_up,
+            floor_ns=floor,
+            floor_skips=skips,
+            ilp_bumps=bumps,
+            stats={**build_stats, **outcome.stats},
         )
         search_span.set(
             floor_ns=result.floor_ns,
@@ -104,88 +158,6 @@ def stress_target_lower_bound(
         result.floor_ns, result.floor_skips, result.ilp_bumps,
     )
     return result
-
-
-def _stress_target_lower_bound(
-    design: MappedDesign,
-    fabric: Fabric,
-    original: Floorplan,
-    original_stress: StressMap,
-    config: RemapConfig | None = None,
-    delta_ns: float | None = None,
-    backend: ScipyBackend | None = None,
-) -> StressTargetResult:
-    config = config or RemapConfig()
-    backend = backend or config.make_backend()
-    st_low = original_stress.mean_accumulated_ns
-    st_up = original_stress.max_accumulated_ns
-    if st_up <= 0:
-        raise ModelError("original floorplan carries no stress; nothing to level")
-    if delta_ns is None:
-        delta_ns = default_delta_ns(original_stress)
-
-    floor = integrality_floor_ns(design)
-    bumps = 0
-    # A non-positive Δ never reaches the floor: scan it from ST_low.
-    while (
-        delta_ns > 0
-        and relaxed_target(st_low, delta_ns, bumps) < floor - FLOOR_MARGIN_NS
-    ):
-        bumps += 1
-    skips = bumps
-
-    frozen = FrozenPlan(positions={}, orientation_of_context={})
-    candidates = default_candidates(
-        design, original, frozen, fabric, config.resolved_window(fabric)
-    )
-    # One delay-unaware Eq. (3) model serves every bump: each target is an
-    # O(stress rows) re-stamp of the ``st_target`` parameter on the cached
-    # lowering, not a rebuild.
-    model, variables, build_stats = build_remap_model(
-        design,
-        fabric,
-        frozen,
-        candidates,
-        monitored_paths=(),  # delay-unaware: no path constraints
-        cpd_ns=float("inf"),
-        st_target_ns=st_up,
-        name="step1",
-    )
-
-    # Find an integral delay-unaware floorplan with the paper's two-step
-    # solve, bumping by delta until one exists.
-    target = relaxed_target(st_low, delta_ns, bumps)
-    stats: dict = {}
-    while True:
-        restamp_remap_model(model, target)
-        greedy_ctx = GreedyContext(
-            design=design,
-            fabric=fabric,
-            frozen_positions={},
-            st_target_ns=target,
-            frozen_stress_ns={},
-        )
-        # The paper's cold two-step pipeline, as in every relax-loop solve;
-        # only the relax loop adds the unfixed residual-ILP retry.
-        outcome = solve_remap(model, variables, config, backend, greedy_ctx)
-        stats = {**build_stats, **outcome.stats}
-        if outcome.feasible:
-            break
-        bumps += 1
-        target = relaxed_target(st_low, delta_ns, bumps)
-        if target > st_up + delta_ns:
-            # The original binding is integral and feasible at st_up; use it.
-            target = st_up
-            break
-    return StressTargetResult(
-        st_target_ns=target,
-        st_low_ns=st_low,
-        st_up_ns=st_up,
-        floor_ns=floor,
-        floor_skips=skips,
-        ilp_bumps=bumps,
-        stats=stats,
-    )
 
 
 def relaxed_target(base_ns: float, delta_ns: float, k: int) -> float:

@@ -32,24 +32,6 @@ def _sense_array(senses: Sequence[object]) -> np.ndarray:
     return np.asarray([_sense_str(s) for s in senses])
 
 
-def row_slacks(
-    a_matrix, senses: Sequence[object], rhs: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """Signed slack per row: >= 0 satisfied, < 0 violated.
-
-    LE rows: ``rhs - activity``; GE rows: ``activity - rhs``; EQ rows:
-    ``-|activity - rhs|`` (an equality is always binding when satisfied).
-    """
-    activity = a_matrix @ x if a_matrix.shape[0] else np.zeros(0)
-    rhs = np.asarray(rhs, float)
-    sense_arr = _sense_array(senses)
-    return np.where(
-        sense_arr == "<=",
-        rhs - activity,
-        np.where(sense_arr == ">=", activity - rhs, -np.abs(activity - rhs)),
-    )
-
-
 def attribute_solution(
     form,
     x: np.ndarray,

@@ -145,9 +145,6 @@ class DataflowGraph:
     def output_nodes(self) -> list[DfgNode]:
         return [n for n in self._nodes.values() if n.kind is OpKind.OUTPUT]
 
-    def const_nodes(self) -> list[DfgNode]:
-        return [n for n in self._nodes.values() if n.kind is OpKind.CONST]
-
     def __iter__(self) -> Iterator[DfgNode]:
         return iter(self._nodes.values())
 

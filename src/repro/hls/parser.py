@@ -67,10 +67,6 @@ class Parser:
     def _current(self) -> Token:
         return self._tokens[self._pos]
 
-    def _peek(self, offset: int = 1) -> Token:
-        idx = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[idx]
-
     def _advance(self) -> Token:
         token = self._current
         if token.kind is not TokenKind.EOF:
@@ -80,12 +76,6 @@ class Parser:
     def _expect_punct(self, text: str) -> Token:
         token = self._current
         if not token.is_punct(text):
-            raise ParseError(f"expected {text!r}, found {token.text!r}", token.line, token.column)
-        return self._advance()
-
-    def _expect_op(self, text: str) -> Token:
-        token = self._current
-        if not token.is_op(text):
             raise ParseError(f"expected {text!r}, found {token.text!r}", token.line, token.column)
         return self._advance()
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -346,11 +346,6 @@ class Model:
         self._constraints.append(constraint)
         self._structure_rev += 1
         return constraint
-
-    def add_constraints(self, constraints: Iterable[Constraint]) -> None:
-        """Register several constraints."""
-        for constraint in constraints:
-            self.add_constraint(constraint)
 
     @property
     def constraints(self) -> Sequence[Constraint]:

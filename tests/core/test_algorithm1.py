@@ -92,6 +92,22 @@ class TestModes:
             <= st_freeze.max_accumulated_ns + 3.14 + 1e-9
         )
 
+    def test_stats_event_names_the_mode(
+        self, synth_design, synth_floorplan, fabric4
+    ):
+        from repro.obs import CollectorSink, attached
+
+        collector = CollectorSink()
+        with attached(collector):
+            run_algorithm1(
+                synth_design, fabric4, synth_floorplan, config("freeze")
+            )
+        (stats,) = [
+            r for r in collector.records
+            if r["type"] == "event" and r["name"] == "algorithm1.stats"
+        ]
+        assert stats["attrs"]["mode"] == "freeze"
+
     def test_unknown_mode_rejected(self, synth_design, synth_floorplan, fabric4):
         with pytest.raises(FlowError):
             run_algorithm1(
@@ -127,8 +143,8 @@ class TestFallback:
 
 class TestDeterminism:
     def test_same_seed_same_floorplan(self, synth_design, synth_floorplan, fabric4):
-        a = run_algorithm1(synth_design, fabric4, synth_floorplan, config(seed=9))
-        b = run_algorithm1(synth_design, fabric4, synth_floorplan, config(seed=9))
+        a = run_algorithm1(synth_design, fabric4, synth_floorplan, config())
+        b = run_algorithm1(synth_design, fabric4, synth_floorplan, config())
         assert a.floorplan == b.floorplan
 
 

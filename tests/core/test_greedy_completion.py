@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.remap as remap_module
 from repro.aging import compute_stress_map
 from repro.core import (
     FrozenPlan,
@@ -32,19 +33,25 @@ def problem(synth_design, synth_floorplan, fabric4):
 
 
 def solve_with_completion(problem, st_target, completion):
+    """Solve with the greedy completion ("greedy": every model counts as
+    large), the residual ILP ("ilp": no greedy context) or the choice a
+    relax-loop solve makes by model size ("auto")."""
     design, fabric, floorplan, cpd, stress, monitored, candidates = problem
-    config = RemapConfig(time_limit_s=30, completion=completion)
+    config = RemapConfig(time_limit_s=30)
     model, variables, _ = build_remap_model(
         design, fabric, empty_frozen(), candidates, monitored, cpd, st_target
     )
-    ctx = GreedyContext(
+    ctx = None if completion == "ilp" else GreedyContext(
         design=design,
         fabric=fabric,
         frozen_positions={},
         st_target_ns=st_target,
         frozen_stress_ns={},
     )
-    return solve_remap(model, variables, config, greedy_context=ctx)
+    with pytest.MonkeyPatch.context() as patch:
+        if completion == "greedy":
+            patch.setattr(remap_module, "GREEDY_THRESHOLD", 0)
+        return solve_remap(model, variables, config, greedy_context=ctx)
 
 
 class TestGreedyCompletion:

@@ -52,11 +52,12 @@ def forced_relax_run(request, synth_design, synth_floorplan, fabric4):
     patch.setattr(
         "repro.core.algorithm1.stress_target_lower_bound", fake_step1
     )
-    collector = CollectorSink()
-    config = Algorithm1Config(
-        delta_ns=stress.max_accumulated_ns / 8.0,
-        remap=RemapConfig(time_limit_s=30),
+    patch.setattr(
+        "repro.core.algorithm1.default_delta_ns",
+        lambda stress_map: stress_map.max_accumulated_ns / 8.0,
     )
+    collector = CollectorSink()
+    config = Algorithm1Config(remap=RemapConfig(time_limit_s=30))
     with attached(collector):
         result = run_algorithm1(
             synth_design, fabric4, synth_floorplan, config

@@ -41,28 +41,29 @@ def b10():
     return table1("B10")
 
 
-def config(**remap):
-    return Algorithm1Config(
-        mode="rotate", remap=RemapConfig(time_limit_s=30, **remap)
-    )
+def config():
+    return Algorithm1Config(mode="rotate", remap=RemapConfig(time_limit_s=30))
 
 
 class TestRowGeneration:
     @pytest.fixture(scope="class")
     def traced(self, b13):
-        """B13 run, with the model seen after each restamp and the models
+        """B13 run, with the model seen at each re-stamp and the models
         certified (the cold rebuild's among them)."""
-        import repro.core.algorithm1 as alg1_mod
+        import repro.core.remap as remap_mod
         import repro.verify.certifier as certifier
 
         seen = {"restamped": [], "certified": []}
-        real_restamp = alg1_mod.restamp_remap_model
+        real_solve = remap_mod.RemapProblem.solve
         real_certify = certifier.certify_remap
         calls = {"n": 0}
 
-        def restamp(model, st_target_ns):
-            real_restamp(model, st_target_ns)
-            seen["restamped"].append((model, len(lazy_rows(model))))
+        def solve(problem, *args, **kwargs):
+            if problem.name == "remap" and problem.model is not None:
+                # A re-stamp of the relax loop's model (not Step 1's).
+                model = problem.model
+                seen["restamped"].append((model, len(lazy_rows(model))))
+            return real_solve(problem, *args, **kwargs)
 
         def certify(*args, **kwargs):
             calls["n"] += 1
@@ -80,7 +81,7 @@ class TestRowGeneration:
             return real_certify(*args, **kwargs)
 
         patch = pytest.MonkeyPatch()
-        patch.setattr(alg1_mod, "restamp_remap_model", restamp)
+        patch.setattr(remap_mod.RemapProblem, "solve", solve)
         patch.setattr(certifier, "certify_remap", certify)
         rows_before = counter("algorithm1.lazy_path_rows").value
         try:
@@ -176,14 +177,18 @@ class TestUnfixedRetry:
         assert "degradation_reason" not in result.stats  # no SolverError
         assert result.degradation in ("none", "original")
 
-    def test_model_above_greedy_threshold_skips_retry(self, b10):
+    def test_model_above_greedy_threshold_skips_retry(self, b10, monkeypatch):
+        import repro.core.remap as remap_mod
+
+        # B10 counts as a large model whose greedy completion dead-ends:
+        # the residual ILP runs, and no unfixed retry follows it.
+        monkeypatch.setattr(remap_mod, "GREEDY_THRESHOLD", 10)
+        monkeypatch.setattr(remap_mod, "_greedy_complete", lambda *a: None)
         design, fabric, original = b10
-        result = run_algorithm1(
-            design, fabric, original,
-            config(completion="ilp", greedy_threshold=10),
-        )
+        result = run_algorithm1(design, fabric, original, config())
         first = result.stats["iterations"][0]
         assert first["result"] == "infeasible"
+        assert first["greedy_failed"] is True
         assert first["ilp_status"] == "infeasible"
         assert "retry_status" not in first
 

@@ -15,7 +15,7 @@ from repro.core.remap import (
     GreedyContext,
     build_remap_model,
     default_candidates,
-    restamp_remap_model,
+    resolved_window,
     solve_remap,
 )
 from repro.core.rotation import FrozenPlan
@@ -100,7 +100,7 @@ def reference_scan(design, fabric, original, stress, config):
     """
     frozen = FrozenPlan(positions={}, orientation_of_context={})
     candidates = default_candidates(
-        design, original, frozen, fabric, config.resolved_window(fabric)
+        design, original, frozen, fabric, resolved_window(fabric)
     )
     model, variables, _ = build_remap_model(
         design, fabric, frozen, candidates, monitored_paths=(),
@@ -112,7 +112,8 @@ def reference_scan(design, fabric, original, stress, config):
     while not verdicts or not verdicts[-1]:
         assert len(verdicts) < 100, "no feasible grid point"
         target = relaxed_target(stress.mean_accumulated_ns, delta, len(verdicts))
-        restamp_remap_model(model, target)
+        model.unfix_all()
+        model.set_parameter("st_target", target)
         greedy = GreedyContext(
             design=design, fabric=fabric, frozen_positions={},
             st_target_ns=target, frozen_stress_ns={},

@@ -86,10 +86,6 @@ class TestFlowAndBench:
         out = capsys.readouterr().out
         assert "paper reference" in out
 
-    def test_bench_one_explicit_form(self, capsys):
-        assert main(["bench", "one", "B1", "--time-limit", "20"]) == 0
-        assert "paper reference" in capsys.readouterr().out
-
     def test_bench_unknown_name_reports_error(self, capsys):
         assert main(["bench", "B99"]) == 1
         assert "error" in capsys.readouterr().err
@@ -99,7 +95,7 @@ class TestDeadlineFlag:
     @pytest.mark.parametrize("argv", [
         ["remap", "d.json", "fp.json"],
         ["flow", "fir8"],
-        ["bench", "one", "B1"],
+        ["bench", "B1"],
     ])
     def test_flow_commands_take_a_budget(self, argv):
         args = build_parser().parse_args([*argv, "--deadline", "5"])

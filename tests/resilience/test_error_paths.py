@@ -7,12 +7,17 @@ import math
 
 import pytest
 
-import repro.core.algorithm1 as algorithm1_module
 import repro.core.flow as flow_module
+import repro.core.remap as remap_module
 from repro.arch.checks import check_design_fits
 from repro.core.algorithm1 import Algorithm1Config, run_algorithm1
 from repro.core.flow import AgingAwareFlow, FlowConfig
-from repro.core.remap import RemapConfig, build_remap_model, default_candidates
+from repro.core.remap import (
+    RemapConfig,
+    build_remap_model,
+    default_candidates,
+    resolved_window,
+)
 from repro.core.rotation import FrozenPlan
 from repro.errors import (
     BudgetInfeasibleError,
@@ -42,7 +47,7 @@ class TestBudgetInfeasible:
             synth_floorplan,
             frozen,
             fabric4,
-            RemapConfig().resolved_window(fabric4),
+            resolved_window(fabric4),
         )
         with pytest.raises(BudgetInfeasibleError, match="exceeds ST_target"):
             build_remap_model(
@@ -60,12 +65,16 @@ class TestBudgetInfeasible:
     ):
         # If every iteration's frozen budget is infeasible, the relax loop
         # must walk ST_target up, exhaust, and fall back to the original
-        # floorplan — never crash.
+        # floorplan — never crash.  Step 1 (no frozen ops) still builds.
+        real_build = remap_module.build_remap_model
+
         def always_infeasible(*args, **kwargs):
+            if kwargs.get("name") == "step1":
+                return real_build(*args, **kwargs)
             raise BudgetInfeasibleError("frozen stress exceeds ST_target")
 
         monkeypatch.setattr(
-            algorithm1_module, "build_remap_model", always_infeasible
+            remap_module, "build_remap_model", always_infeasible
         )
         result = run_algorithm1(
             synth_design,

@@ -60,13 +60,13 @@ from repro.benchgen.sources import KERNELS, kernel_source
 from repro.benchgen.suite import entry as suite_entry
 from repro.benchgen.synth import build_benchmark
 from repro.core.algorithm1 import run_algorithm1
-from repro.core.flow import AgingAwareFlow, flow_config
+from repro.core.flow import flow_config
 from repro.errors import ReproError
 from repro.hls.lower import compile_source
 from repro.hls.schedule import schedule_dfg
 from repro.hls.allocate import tech_map
 from repro.io.serialize import (
-    flow_summary_to_dict,
+    design_to_dict,
     load_design,
     load_floorplan,
     load_json,
@@ -78,11 +78,9 @@ from repro.obs import (
     JsonlSink,
     add_sink,
     configure_logging,
-    convergence_rows,
     registry,
     remove_sink,
     set_progress,
-    span,
     summarize_trace,
 )
 from repro.place.baseline import place_baseline
@@ -114,21 +112,20 @@ def _load_kernel(argument: str) -> tuple[str, str]:
     )
 
 
-def _metrics_rows() -> list[list[object]]:
-    """Registry snapshot as (metric, kind, value) table rows."""
-    rows: list[list[object]] = []
-    for name, data in registry().snapshot().items():
-        kind = data["kind"]
-        if kind == "histogram":
-            value = (
-                f"count={data['count']} mean={data['mean']:.4f} "
-                f"p50={data['p50']:.4f} p95={data['p95']:.4f} "
-                f"min={data['min']:.4f} max={data['max']:.4f}"
-            )
-        else:
-            value = data["value"]
-        rows.append([name, kind, value])
-    return rows
+def _run_flow(args, **work) -> dict:
+    """Run one flow request (``repro flow``/``bench``) as the service does."""
+    from repro.service import FloorplanRequest, run_request
+
+    return run_request(FloorplanRequest.from_dict({
+        **work,
+        "mode": args.mode,
+        "time_limit_s": args.time_limit,
+        "deadline_s": args.deadline,
+    }))
+
+
+def _cpd_preserved(summary: dict) -> bool:
+    return summary["final_cpd_ns"] <= summary["original_cpd_ns"] + 1e-6
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -208,23 +205,18 @@ def cmd_analyze(args) -> int:
 
 def cmd_flow(args) -> int:
     name, source = _load_kernel(args.source)
-    fabric = _parse_fabric(args.fabric)
-    with span("hls_compile", kernel=name):
-        dfg = compile_source(source, name)
-        design = tech_map(schedule_dfg(dfg, capacity=fabric.num_pes))
-    result = AgingAwareFlow(flow_config(args.mode, args.time_limit)).run(
-        design, fabric, deadline=_deadline_of(args)
-    )
+    document = _run_flow(args, kernel=name, source=source, fabric=args.fabric)
+    summary = document["summary"]
     print(format_mapping(f"flow: {name}", {
-        "MTTF increase": f"{result.mttf_increase:.2f}x",
-        "CPD preserved": result.cpd_preserved,
-        "certified": result.remap.certified,
-        "degradation": result.remap.degradation,
-        "contexts": design.num_contexts,
-        "utilization": f"{result.original.floorplan.utilization():.0%}",
+        "MTTF increase": f"{summary['mttf_increase']:.2f}x",
+        "CPD preserved": _cpd_preserved(summary),
+        "certified": document["algorithm1"]["certified"],
+        "degradation": summary["degradation"],
+        "contexts": summary["contexts"],
+        "utilization": f"{summary['utilization']:.0%}",
     }))
     if args.output:
-        save_json(flow_summary_to_dict(result), args.output)
+        save_json(document, args.output)
         print(f"full record -> {args.output}")
     return 0
 
@@ -234,16 +226,18 @@ def cmd_bench(args) -> int:
     if args.scaled:
         bench = bench.scaled(args.scaled)
     design, fabric = build_benchmark(bench.spec())
-    result = AgingAwareFlow(flow_config(args.mode, args.time_limit)).run(
-        design, fabric, deadline=_deadline_of(args)
-    )
+    summary = _run_flow(
+        args,
+        design=design_to_dict(design),
+        fabric=f"{fabric.rows}x{fabric.cols}",
+    )["summary"]
     reference = bench.freeze_ref if args.mode == "freeze" else bench.rotate_ref
     print(format_mapping(f"benchmark {bench.name} ({args.mode})", {
-        "MTTF increase": f"{result.mttf_increase:.2f}x",
+        "MTTF increase": f"{summary['mttf_increase']:.2f}x",
         "paper reference": f"{reference:.2f}x",
-        "CPD preserved": result.cpd_preserved,
-        "fell back": result.remap.fell_back,
-        "degradation": result.remap.degradation,
+        "CPD preserved": _cpd_preserved(summary),
+        "fell back": summary["fell_back"],
+        "degradation": summary["degradation"],
     }))
     return 0
 
@@ -292,39 +286,9 @@ def cmd_verify(args) -> int:
     return 0 if report["ok"] else 4
 
 
-def _print_explain(entry: dict, indent: str = "  ") -> None:
-    """Render one ``algorithm1.explain`` record for the terminal."""
-    entry = dict(entry)
-    iis = entry.pop("iis", None)
-    culprit = entry.pop("culprit", None)
-    print(indent + " ".join(f"{k}={v}" for k, v in entry.items()))
-    if culprit:
-        print(
-            f"{indent}  culprit path: context={culprit.get('context')} "
-            f"ops={culprit.get('ops')} delay={culprit.get('delay_ns')}ns"
-        )
-    if iis:
-        members = iis.get("members") or []
-        print(
-            f"{indent}  IIS: status={iis.get('status')} "
-            f"minimal={iis.get('minimal')} verified={iis.get('verified')} "
-            f"({len(members)} member(s), {iis.get('probes')} probes)"
-        )
-        for member in members:
-            tags = ", ".join(
-                f"{k}={v}" for k, v in (member.get("tags") or {}).items()
-            )
-            line = (
-                f"{indent}    - {member.get('name')} "
-                f"{member.get('sense')} {member.get('rhs')}"
-            )
-            print(line + (f"  [{tags}]" if tags else ""))
-
-
 def cmd_explain(args) -> int:
     """Explain a saved run (flow record and/or trace) or probe an IIS."""
-    from repro.obs import report as report_mod
-    from repro.obs.trace import summarize_trace as _summarize
+    from repro.obs.report import build_report
 
     if args.probe_infeasible:
         return _cmd_explain_probe(args)
@@ -340,12 +304,12 @@ def cmd_explain(args) -> int:
         if document is not None and document.get("kind") == "flow_result":
             record = document
         else:
-            trace_summary = _summarize(path)
+            trace_summary = summarize_trace(path)
     if record is None and trace_summary is None:
         print("error: no flow record or trace found in arguments",
               file=sys.stderr)
         return 1
-    report = report_mod.build_report(record=record, trace=trace_summary)
+    report = build_report(record=record, trace=trace_summary)
     fmt = args.format
     if fmt is None and args.output:
         suffix = pathlib.Path(args.output).suffix.lower()
@@ -394,120 +358,15 @@ def _cmd_explain_probe(args) -> int:
 
 
 def cmd_trace_summarize(args) -> int:
+    from repro.obs.report import build_report
+
     summary = summarize_trace(args.file)
     if args.json:
         print(json.dumps(
             summary.to_dict(), indent=2, sort_keys=True, default=str
         ))
-        return 0
-    print(format_table(
-        ["stage", "count", "wall_s", "share_%"], summary.stage_table()
-    ))
-    print(
-        f"\ntotal wall time {summary.total_s:.3f}s "
-        f"({summary.records} records, {len(summary.events)} events, "
-        f"{len(summary.degradations)} degradation event(s))"
-    )
-    evaluation_rows = summary.evaluation_table()
-    if evaluation_rows:
-        print("\nevaluation stages (aggregated)")
-        print("------------------------------")
-        print(format_table(
-            ["stage", "count", "wall_s", "share_%"], evaluation_rows
-        ))
-        kernel_rows = [
-            [name, data.get("count", data.get("value", 0)),
-             round(float(data.get("sum", data.get("value", 0.0))), 4)]
-            for name, data in summary.kernel_metrics().items()
-        ]
-        if kernel_rows:
-            print(format_table(
-                ["kernel metric", "count", "total"], kernel_rows
-            ))
-    if summary.solves:
-        print("\nconvergence (per solve)")
-        print("-----------------------")
-        print(format_table(
-            ["model", "backend", "kind", "status", "nodes", "incumbent",
-             "bound", "gap_%", "wall_s"],
-            convergence_rows(summary.solves),
-        ))
-    for run in summary.alg1_runs:
-        verdicts = run.get("verdicts", [])
-        trajectory = " -> ".join(
-            f"{st:.3f}[{verdict}{f' +{rows} rows' if rows else ''}]"
-            for st, verdict, rows in zip(
-                run.get("st_trajectory", []), verdicts,
-                run.get("rows_added") or [0] * len(verdicts),
-            )
-        )
-        print()
-        print(format_mapping(
-            f"algorithm1: {run.get('benchmark', '?')} "
-            f"({run.get('mode', '?')})", {
-                "degradation": run.get("degradation"),
-                "ST range (ns)": (
-                    f"[{run.get('st_low_ns', 0.0):.3f}, "
-                    f"{run.get('st_up_ns', 0.0):.3f}]"
-                ),
-                "floor (ns)": run.get("floor_ns"),
-                "floor skips": run.get("floor_skips"),
-                "grid bumps (incl. floor skips)": run.get("ilp_bumps"),
-                "delta (ns)": run.get("delta_ns"),
-                "iterations": run.get("iterations"),
-                "relaxations": run.get("relaxations"),
-                "lazy path rows": run.get("lazy_path_rows", 0),
-                "ST trajectory": trajectory or "-",
-                "final ST_target (ns)": run.get("final_st_target_ns"),
-                "solves": run.get("solves"),
-                "total nodes": run.get("total_nodes"),
-                "max MIP gap": run.get("max_mip_gap"),
-                "certifications": run.get("certifications"),
-                "cert failures": run.get("cert_failures"),
-                "cert cold rebuilds": run.get("cert_cold_rebuilds"),
-            }
-        ))
-    if summary.explains:
-        print("\nexplanations (why iterations were rejected / the run ended)")
-        print("-" * 58)
-        for entry in summary.explains:
-            _print_explain(entry)
-    if summary.sweep_entries:
-        print("\nsweep entries")
-        print("-------------")
-        print(format_table(["entry", "verdict"], summary.verdict_table()))
-    if summary.degradations:
-        rows = []
-        for record in summary.degradations:
-            attrs = record.get("attrs") or {}
-            rows.append([
-                record["name"],
-                " ".join(f"{k}={v}" for k, v in attrs.items()),
-            ])
-        print("\ndegradations")
-        print("------------")
-        print(format_table(["event", "detail"], rows))
-    if summary.events:
-        print("\nevents")
-        print("------")
-        for record in summary.events:
-            attrs = record.get("attrs") or {}
-            rendered = " ".join(f"{k}={v}" for k, v in attrs.items())
-            print(f"{record['name']}  parent={record['parent']}  {rendered}")
-    if summary.metrics:
-        rows = []
-        for name, data in summary.metrics.items():
-            kind = data.get("kind", "?")
-            if kind == "histogram":
-                value = (
-                    f"count={data.get('count')} mean={data.get('mean', 0.0):.4f} "
-                    f"max={data.get('max', 0.0):.4f}"
-                )
-            else:
-                value = data.get("value")
-            rows.append([name, kind, value])
-        print()
-        print(format_table(["metric", "kind", "value"], rows))
+    else:
+        print(build_report(trace=summary).render("markdown"))
     return 0
 
 
@@ -686,12 +545,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="inspect JSONL observability traces")
     tsub = p.add_subparsers(dest="trace_command", required=True)
     ts = tsub.add_parser(
-        "summarize", help="aggregate a trace into a per-stage table"
+        "summarize",
+        help="print a trace's run report (the markdown of repro explain)",
     )
     ts.add_argument("file")
     ts.add_argument(
         "--json", action="store_true",
-        help="emit the full summary as one JSON document instead of tables",
+        help="emit the full summary as one JSON document instead of the "
+        "report",
     )
     ts.set_defaults(func=cmd_trace_summarize)
 
@@ -843,8 +704,12 @@ def main(argv: list[str] | None = None) -> int:
             sink.close()
             print(f"trace -> {trace_path}", file=sys.stderr)
     if getattr(args, "metrics", False):
+        from repro.obs.report import metrics_rows
+
         print()
-        print(format_table(["metric", "kind", "value"], _metrics_rows()))
+        print(format_table(
+            ["metric", "kind", "value"], metrics_rows(registry().snapshot())
+        ))
     return code
 
 

@@ -161,15 +161,5 @@ class AdmissionError(ServiceError):
         self.retry_after_s = retry_after_s
 
 
-class CacheError(ServiceError):
-    """A persistent artifact-cache entry is unreadable or failed its
-    integrity checks (checksum mismatch, truncation, wrong key).
-
-    Never propagates to a client: the cache layer quarantines the entry
-    and reports a miss, so the job is recomputed rather than served a
-    wrong or stale answer.
-    """
-
-
 class BenchmarkError(ReproError):
     """A synthetic benchmark request was inconsistent or unsatisfiable."""

@@ -7,8 +7,9 @@ The subsystem has four small parts that compose:
 * :mod:`repro.obs.metrics` — an always-on process-local
   :class:`MetricsRegistry` of counters/gauges/histograms;
 * :mod:`repro.obs.sinks` — pluggable span sinks: :class:`JsonlSink`
-  (one-event-per-line traces) and :class:`TreeSink` (human-readable
-  timing tree);
+  (one-event-per-line traces, rendered by :mod:`repro.obs.report`) and
+  :class:`CollectorSink` (in-memory records, the transport of worker
+  traces);
 * :mod:`repro.obs.logs` — ``repro.*`` stdlib-logging helpers.
 
 Typical library usage::
@@ -46,8 +47,6 @@ from repro.obs.metrics import (
 from repro.obs.sinks import (
     CollectorSink,
     JsonlSink,
-    TreeSink,
-    render_tree,
     replay_records,
 )
 from repro.obs.solverstats import (
@@ -95,7 +94,6 @@ __all__ = [
     "TraceError",
     "TraceSummary",
     "TrajectorySample",
-    "TreeSink",
     "add_sink",
     "attached",
     "clear_sinks",
@@ -112,7 +110,6 @@ __all__ = [
     "read_trace",
     "registry",
     "remove_sink",
-    "render_tree",
     "replay_records",
     "set_progress",
     "span",

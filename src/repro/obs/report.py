@@ -1,19 +1,27 @@
-"""Self-contained run reports (``repro explain``).
+"""Self-contained run reports (``repro explain``, ``repro trace summarize``).
 
 Builds a single-file HTML (or markdown) report from the artefacts a run
 leaves behind — a ``flow_result`` record (``repro flow ... -o record.json``)
 and/or a JSONL trace (``--trace run.jsonl``) — so a solve can be explained
-offline, on a machine with neither the repo nor a network:
+offline, on a machine with neither the repo nor a network.  It is the
+only renderer of a run: ``repro trace summarize FILE`` prints the
+markdown report of the trace alone.
 
 * **overview** — the flow summary (MTTF increase, CPD, degradation);
-* **timeline** — the span tree as per-stage wall-time bars;
+* **timeline** — the span tree as per-stage counts and wall-time bars;
+* **evaluation** — STA / stress / thermal / certification totals;
 * **convergence** — the per-solve table (nodes, incumbent, bound, gap);
 * **trajectory** — Algorithm 1's ``ST_target`` relaxation history;
 * **attribution** — binding-constraint analysis of feasible solves in
   domain terms (families, top binding rows, saturated PEs);
 * **stress** — per-context stress heatmaps of both floorplans;
 * **explanations** — every ``algorithm1.explain`` event, including the
-  IIS (irreducible infeasible subsystem) of an infeasible terminal solve.
+  IIS (irreducible infeasible subsystem) of an infeasible terminal solve;
+* **sweep** — per-entry sweep verdicts;
+* **degradations** — every :data:`~repro.obs.trace.DEGRADATION_EVENTS`
+  event;
+* **events** — every other event no section above renders;
+* **metrics** — the run's final metrics snapshot.
 
 Sections are built only when their inputs exist, and every built section
 is guaranteed non-empty — the CI report gate relies on that.
@@ -29,11 +37,11 @@ from __future__ import annotations
 import html as _html
 import json
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.obs.logs import get_logger
 from repro.obs.solverstats import convergence_rows
-from repro.obs.trace import TraceSummary
+from repro.obs.trace import DEGRADATION_EVENTS, TraceSummary
 
 _log = get_logger("obs.report")
 
@@ -69,7 +77,7 @@ class Section:
     A block is a tuple whose first element names the kind:
     ``("text", str)``, ``("mapping", dict)``,
     ``("table", headers, rows)``,
-    ``("bars", [(label, seconds, share), ...])`` or
+    ``("bars", [(label, count, seconds, share), ...])`` or
     ``("heatmap", row_labels, col_labels, grid)``.
     """
 
@@ -120,6 +128,42 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+#: Histogram fields a metrics row shows, in order (``count`` leads).
+_HISTOGRAM_FIELDS = ("sum", "mean", "p50", "p95", "min", "max")
+
+
+def metrics_rows(snapshot: Mapping[str, Mapping]) -> list[list[object]]:
+    """``[metric, kind, value]`` rows of a metrics snapshot.
+
+    Takes a live :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
+    (``--metrics``) or a trace's ``metric`` lines; a histogram shows the
+    fields it carries.
+    """
+    rows: list[list[object]] = []
+    for name, data in snapshot.items():
+        kind = data.get("kind", "?")
+        if kind == "histogram":
+            value = " ".join([f"count={data.get('count', 0)}"] + [
+                f"{key}={float(data[key]):.4f}"
+                for key in _HISTOGRAM_FIELDS
+                if key in data
+            ])
+        else:
+            value = data.get("value")
+        rows.append([name, kind, value])
+    return rows
+
+
+def _event_rows(records: Sequence[Mapping]) -> list[list[object]]:
+    """``[event, parent, detail]`` rows of trace event records."""
+    rows = []
+    for record in records:
+        attrs = record.get("attrs") or {}
+        detail = " ".join(f"{k}={v}" for k, v in attrs.items())
+        rows.append([record["name"], record["parent"], detail])
+    return rows
+
+
 def _overview_section(record: dict | None, trace: TraceSummary | None) -> Section:
     section = Section("overview", "Run overview")
     if record is not None:
@@ -147,7 +191,9 @@ def _timeline_section(trace: TraceSummary | None) -> Section:
     for stage in trace.stages:
         share = 100.0 * stage.total_s / trace.total_s if trace.total_s else 0.0
         label = "  " * stage.depth + stage.name
-        bars.append((label, round(stage.total_s, 3), round(share, 1)))
+        bars.append(
+            (label, stage.count, round(stage.total_s, 3), round(share, 1))
+        )
     section.blocks.append(("bars", bars))
     return section
 
@@ -164,37 +210,25 @@ def _evaluation_section(trace: TraceSummary | None) -> Section:
     section = Section("evaluation", "Evaluation stages")
     if trace is None:
         return section
-    rows = trace.evaluation_table()
-    if rows:
-        section.table(["stage", "count", "wall_s", "share_%"], rows)
-    kernel_rows = []
-    for name, data in trace.kernel_metrics().items():
-        count = data.get("count", data.get("value", 0))
-        total = data.get("sum", data.get("value", 0.0))
-        kernel_rows.append([name, count, round(float(total), 4)])
-    if kernel_rows:
-        section.table(["kernel metric", "count", "total"], kernel_rows)
+    section.table(
+        ["stage", "count", "wall_s", "share_%"], trace.evaluation_table()
+    )
+    section.table(
+        ["kernel metric", "kind", "value"],
+        metrics_rows(trace.kernel_metrics()),
+    )
     return section
 
 
 def _iter_solve_stats(record: dict) -> list[dict]:
     """Flatten every per-solve stats dict out of a record's iteration log."""
-
-    def walk(entry: dict, prefix: str) -> list[tuple[str, dict]]:
-        found = []
+    solves = []
+    for entry in (record.get("algorithm1") or {}).get("iterations") or ():
         for key in ("lp_stats", "ilp_stats", "solve_stats"):
             stats = entry.get(key)
             if isinstance(stats, dict):
-                found.append((f"{prefix}{key}", stats))
-        for index, ctx in enumerate(entry.get("contexts") or ()):
-            found.extend(walk(ctx, f"{prefix}context{index}."))
-        return found
-
-    solves = []
-    for entry in (record.get("algorithm1") or {}).get("iterations") or ():
-        label = f"iter{entry.get('iteration', '?')}."
-        for name, stats in walk(entry, label):
-            solves.append({"label": name, **stats})
+                label = f"iter{entry.get('iteration', '?')}.{key}"
+                solves.append({"label": label, **stats})
     return solves
 
 
@@ -244,7 +278,15 @@ def _trajectory_section(
     elif trace is not None:
         runs.extend(trace.alg1_runs)
     for run in runs:
+        facts: dict[str, Any] = {}
+        if "benchmark" in run:
+            # A trace event names its run; a record's overview does that.
+            facts["benchmark (mode)"] = (
+                f"{run['benchmark']} ({run.get('mode', '?')})"
+            )
+            facts["degradation"] = run.get("degradation")
         section.mapping({
+            **facts,
             "ST range (ns)": (
                 f"[{run.get('st_low_ns', 0.0):.4g}, "
                 f"{run.get('st_up_ns', 0.0):.4g}]"
@@ -252,6 +294,7 @@ def _trajectory_section(
             "Delta (ns)": run.get("delta_ns"),
             "floor (ns)": run.get("floor_ns"),
             "floor skips": run.get("floor_skips"),
+            "grid bumps (incl. floor skips)": run.get("ilp_bumps"),
             "iterations": run.get("iterations"),
             "relaxations": run.get("relaxations"),
             "lazy path rows": run.get("lazy_path_rows", 0),
@@ -261,6 +304,7 @@ def _trajectory_section(
             "max MIP gap": run.get("max_mip_gap"),
             "certifications": run.get("certifications"),
             "cert failures": run.get("cert_failures"),
+            "cert cold rebuilds": run.get("cert_cold_rebuilds"),
         })
         trajectory = run.get("st_trajectory") or []
         verdicts = run.get("verdicts") or []
@@ -457,6 +501,35 @@ def _describe_iis(iis: dict) -> str:
     )
 
 
+#: Events the degradations, trajectory and explanations sections render.
+_RENDERED_EVENTS = DEGRADATION_EVENTS | {
+    "algorithm1.stats", "algorithm1.explain",
+}
+
+
+def _trace_tables(trace: TraceSummary) -> list[Section]:
+    """The sweep, degradations, events and metrics sections."""
+    event_headers = ["event", "parent", "detail"]
+    others = [e for e in trace.events if e["name"] not in _RENDERED_EVENTS]
+    kernels = trace.kernel_metrics()  # the evaluation section shows these
+    metrics = {n: d for n, d in trace.metrics.items() if n not in kernels}
+    tables = [
+        ("sweep", "Sweep verdicts", ["entry", "verdict"],
+         trace.verdict_table()),
+        ("degradations", "Degradation events", event_headers,
+         _event_rows(trace.degradations)),
+        ("events", "Other events", event_headers, _event_rows(others)),
+        ("metrics", "Metrics", ["metric", "kind", "value"],
+         metrics_rows(metrics)),
+    ]
+    sections = []
+    for slug, title, headers, rows in tables:
+        section = Section(slug, title)
+        section.table(headers, rows)
+        sections.append(section)
+    return sections
+
+
 def build_report(
     record: dict | None = None,
     trace: TraceSummary | None = None,
@@ -482,6 +555,9 @@ def build_report(
     report.add(_attribution_section(record, trace))
     report.add(_stress_section(record))
     report.add(_explanations_section(record, trace))
+    if trace is not None:
+        for section in _trace_tables(trace):
+            report.add(section)
     return report
 
 
@@ -545,17 +621,19 @@ def _render_html_block(block: tuple) -> str:
         return f"<table><tr>{head}</tr>{body}</table>"
     if kind == "bars":
         rows = []
-        for label, seconds, share in block[1]:
+        for label, count, seconds, share in block[1]:
             width = max(1, round(3 * share))
             rows.append(
                 "<tr>"
                 f"<td><pre style=\"margin:0\">{_esc(label)}</pre></td>"
+                f"<td>{count}</td>"
                 f"<td>{seconds:.3f}s</td><td>{share:.1f}%</td>"
                 f"<td><span class=\"bar\" style=\"width:{width}px\"></span></td>"
                 "</tr>"
             )
         return (
-            "<table><tr><th>stage</th><th>wall</th><th>share</th><th></th></tr>"
+            "<table><tr><th>stage</th><th>count</th><th>wall</th>"
+            "<th>share</th><th></th></tr>"
             + "".join(rows)
             + "</table>"
         )
@@ -610,8 +688,8 @@ def _render_md_block(block: tuple) -> str:
         return _md_table(block[1], block[2])
     if kind == "bars":
         return _md_table(
-            ["stage", "wall_s", "share_%"],
-            [[f"`{label}`", seconds, share] for label, seconds, share in block[1]],
+            ["stage", "count", "wall_s", "share_%"],
+            [[f"`{label}`", *rest] for label, *rest in block[1]],
         )
     if kind == "heatmap":
         _, row_labels, col_labels, grid = block

@@ -1,4 +1,4 @@
-"""Span sinks: JSONL trace files and human-readable timing trees.
+"""Span sinks: JSONL trace files and in-memory record collectors.
 
 Every JSONL line is a self-contained JSON object carrying at least
 ``type``, ``name``, ``duration_s`` and ``parent`` — the invariant offline
@@ -23,7 +23,7 @@ import pathlib
 import threading
 from typing import Iterable, Mapping, Sequence
 
-from repro.obs.spans import PATH_SEP, Span, SpanSink, active_sinks
+from repro.obs.spans import Span, SpanSink, active_sinks
 
 
 class JsonlSink:
@@ -89,35 +89,6 @@ class JsonlSink:
         self.close()
 
 
-class TreeSink:
-    """Collect spans in memory and render an aggregated timing tree.
-
-    Spans sharing a path are merged into one node (count + total time), so
-    the 25 ``iteration`` spans of an Algorithm 1 run render as one line.
-    """
-
-    def __init__(self) -> None:
-        self.spans: list[dict] = []
-        self.events: list[dict] = []
-
-    def on_span(self, span: Span) -> None:
-        self.spans.append(span.to_record())
-
-    def on_event(self, record: dict) -> None:
-        self.events.append(record)
-
-    def on_record(self, record: dict) -> None:
-        """Route a replayed record to the span or event list by its type."""
-        if record.get("type") == "span":
-            self.spans.append(record)
-        else:
-            self.events.append(record)
-
-    def render(self) -> str:
-        """Indented tree: one line per distinct path, ordered by first visit."""
-        return render_tree(self.spans)
-
-
 class CollectorSink:
     """In-memory span/event collector (list of JSONL-shaped records).
 
@@ -158,34 +129,3 @@ def replay_records(
     for record in records:
         for sink in targets:
             sink.on_record(record)
-
-
-def render_tree(spans: list[Mapping]) -> str:
-    """Aggregate span records by path and render an indented tree."""
-    order: list[str] = []
-    totals: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for record in spans:
-        path = record["path"]
-        if path not in totals:
-            order.append(path)
-            totals[path] = 0.0
-            counts[path] = 0
-        totals[path] += record["duration_s"]
-        counts[path] += 1
-    if not order:
-        return "(no spans recorded)"
-    # Children finish before their parents, so a stable sort by path depth
-    # is not needed; re-order parents before children lexically by path.
-    order.sort(key=lambda p: p.split(PATH_SEP))
-    width = max(
-        len("  " * p.count(PATH_SEP) + p.split(PATH_SEP)[-1]) for p in order
-    )
-    lines = []
-    for path in order:
-        depth = path.count(PATH_SEP)
-        label = "  " * depth + path.split(PATH_SEP)[-1]
-        lines.append(
-            f"{label.ljust(width)}  {counts[path]:>5}x  {totals[path]:>10.3f}s"
-        )
-    return "\n".join(lines)

@@ -3,7 +3,8 @@
 A trace is re-read as a list of dict records (one per line); the summary
 aggregates span records per path into wall-time/count rows, reports the
 total wall time (sum of root spans — spans with ``parent == null``), and
-carries any ``metric`` lines through for display.
+carries events and ``metric`` lines through for the run report
+(:func:`repro.obs.report.build_report`), which renders it.
 
 Crash-truncated traces are expected input: a killed sweep leaves a torn
 final line behind, so :func:`read_trace` skips (and warns about) a
@@ -33,9 +34,9 @@ class TraceError(ReproError):
 REQUIRED_KEYS = ("type", "name", "duration_s", "parent")
 
 #: Event names that signal degraded execution (resilience ladder, budget
-#: expiry, fault injection, sweep worker deaths and failures).  ``trace summarize`` lists
-#: matching events in a dedicated section so a degraded run is visible at
-#: a glance.
+#: expiry, fault injection, sweep worker deaths and failures).  The run
+#: report lists matching events in a dedicated section so a degraded run
+#: is visible at a glance.
 DEGRADATION_EVENTS = frozenset(
     {
         "flow.fallback",
@@ -56,11 +57,10 @@ DEGRADATION_EVENTS = frozenset(
 )
 
 #: Leaf span names of the flow's *evaluation* stages: STA, path
-#: filtering, stress, thermal, MTTF and certification.  ``trace
-#: summarize`` and ``repro explain`` aggregate these across the span tree
-#: (a stage may appear under several parents: phase1/phase2 evaluate,
-#: algorithm1 iterations) into one per-stage breakdown.  Order is the
-#: display order.
+#: filtering, stress, thermal, MTTF and certification.  The run report
+#: aggregates these across the span tree (a stage may appear under
+#: several parents: phase1/phase2 evaluate, algorithm1 iterations) into
+#: one per-stage breakdown.  Order is the display order.
 EVALUATION_STAGES = (
     "evaluate",
     "sta",
@@ -138,15 +138,6 @@ class TraceSummary:
     #: Sum of root-span durations = the trace's total wall time.
     total_s: float = 0.0
     records: int = 0
-
-    def stage_table(self) -> list[list[object]]:
-        """Rows for :func:`repro.report.tables.format_table`."""
-        rows: list[list[object]] = []
-        for stage in self.stages:
-            label = "  " * stage.depth + stage.name
-            share = 100.0 * stage.total_s / self.total_s if self.total_s else 0.0
-            rows.append([label, stage.count, round(stage.total_s, 3), round(share, 1)])
-        return rows
 
     def evaluation_stages(self) -> list[StageRow]:
         """Evaluation-stage totals aggregated across the span tree.

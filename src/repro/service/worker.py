@@ -1,12 +1,10 @@
 """The service's job-execution body (runs inside forked worker processes).
 
-:func:`execute_request` is deliberately the same pipeline as the one-shot
-CLI (``repro flow`` for kernel requests, ``repro remap``'s configuration
-for pre-mapped designs): same HLS schedule capacity, same
-:class:`~repro.core.flow.FlowConfig`, same certification default.  The
-service's contract — a served artifact is bit-identical to the one-shot
-CLI's — holds *because* this module shares that code path rather than
-approximating it.
+:func:`run_request` is the one-shot pipeline itself: ``repro flow``
+(kernel requests) and ``repro bench`` (design requests) call it, and
+:func:`execute_request` runs it in a service worker.  The service's
+contract — a served artifact is bit-identical to the one-shot CLI's —
+holds *because* both share this code path rather than approximating it.
 
 The service runs :func:`execute_request` through
 :func:`repro.resilience.isolation.run_isolated`, which also applies the
@@ -25,8 +23,8 @@ from repro.service.request import FloorplanRequest
 def materialize(request: FloorplanRequest):
     """Build the ``(design, fabric)`` pair a request describes.
 
-    Kernel/source requests replicate ``repro flow``: compile the mini-C,
-    schedule with ``capacity=fabric.num_pes``, technology-map.  Design
+    Kernel/source requests compile the mini-C (span ``hls_compile``),
+    schedule with ``capacity=fabric.num_pes`` and technology-map.  Design
     requests decode the mapped-design document directly.
     """
     from repro.arch.fabric import Fabric
@@ -48,16 +46,18 @@ def materialize(request: FloorplanRequest):
                 f"unknown library kernel {name!r} (known: {sorted(KERNELS)})"
             )
         source = kernel_source(name)
-    dfg = compile_source(source, name)
-    design = tech_map(schedule_dfg(dfg, capacity=fabric.num_pes))
+    with span("hls_compile", kernel=name):
+        dfg = compile_source(source, name)
+        design = tech_map(schedule_dfg(dfg, capacity=fabric.num_pes))
     return design, fabric
 
 
 def run_request(request: FloorplanRequest) -> dict:
     """Synchronously run one request to a ``flow_result`` document.
 
-    This *is* the one-shot CLI pipeline; tests compare service-served
-    artifacts against this function's output for bit-identity.
+    This *is* the one-shot CLI pipeline (``repro flow``, ``repro
+    bench``); tests compare service-served artifacts against this
+    function's output for bit-identity.
     """
     from repro.core.flow import AgingAwareFlow, flow_config
     from repro.io.serialize import flow_summary_to_dict

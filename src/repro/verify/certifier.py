@@ -97,6 +97,9 @@ class Certificate:
 
     checks: list[str] = field(default_factory=list)
     violations: list[Violation] = field(default_factory=list)
+    #: CPD of the certified floorplan, from the STA check's own run
+    #: (``None`` when that check was skipped).
+    cpd_ns: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -356,6 +359,7 @@ def certify_floorplan(
         from repro.timing.sta import analyze
 
         report = analyze(design, remapped, graphs)
+        cert.cpd_ns = report.cpd_ns
         if report.cpd_ns > baseline_cpd_ns + CPD_EPS:
             cert.violations.append(
                 Violation(
@@ -387,8 +391,8 @@ def certify_remap(
     """Full trust-but-verify pass on one accepted Algorithm 1 iteration.
 
     Domain invariants always run; the row-by-row solution re-check runs
-    when the accepting solve produced a backend :class:`Solution` (greedy
-    completions and sequential decompositions legitimately have none).
+    when the accepting solve produced a backend :class:`Solution` (a
+    greedy completion legitimately has none).
     Emits ``certification.checked`` / ``certification.failed`` events and
     counters either way.
     """

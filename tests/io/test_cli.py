@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.io import load_design, load_floorplan
+from repro.service import FloorplanRequest, comparable_view, run_request
 
 
 @pytest.fixture
@@ -90,6 +91,28 @@ class TestFlowAndBench:
         assert main(["bench", "B99"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_flow_record_is_run_requests_document(self, kernel_file, tmp_path):
+        record = tmp_path / "r.json"
+        assert main([
+            "flow", str(kernel_file), "--fabric", "4x4",
+            "--time-limit", "20", "-o", str(record),
+        ]) == 0
+        request = FloorplanRequest(
+            kernel="tiny", source=kernel_file.read_text(), fabric="4x4",
+            time_limit_s=20.0,
+        )
+        assert comparable_view(json.loads(record.read_text())) == (
+            comparable_view(run_request(request))
+        )
+
+    @pytest.mark.parametrize("flag", ["--time-limit", "--deadline"])
+    @pytest.mark.parametrize("command", ["flow", "bench"])
+    def test_non_positive_budget_is_a_typed_error(self, command, flag, capsys):
+        argv = [command, "fir8" if command == "flow" else "B1", flag, "0"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be > 0" in err
+
 
 class TestDeadlineFlag:
     @pytest.mark.parametrize("argv", [
@@ -121,11 +144,21 @@ class TestTraceAndProfile:
         capsys.readouterr()
         assert main(["trace", "summarize", str(trace)]) == 0
         out = capsys.readouterr().out
-        assert "convergence (per solve)" in out
-        assert "algorithm1:" in out
-        assert "ST trajectory" in out
+        assert "## Solver convergence" in out
+        assert "## Algorithm 1 relaxation trajectory" in out
+        assert "| iteration | ST_target (ns) | verdict | rows added |" in out
+        assert "**benchmark (mode)**: tiny (rotate)" in out
         assert "floor skips" in out
         assert "grid bumps (incl. floor skips)" in out
+        assert "cert cold rebuilds" in out
+        assert "## Metrics" in out
+        # One renderer: the summary is the trace's explain report.
+        assert main(["explain", str(trace)]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_trace_summarize_rejects_a_missing_file(self, tmp_path, capsys):
+        assert main(["trace", "summarize", str(tmp_path / "nope.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_profile_writes_pstats_and_hotspots(
         self, kernel_file, tmp_path, capsys

@@ -13,11 +13,19 @@ import json
 import pytest
 
 from repro.io.serialize import design_to_dict, floorplan_to_dict
-from repro.obs import summarize_records
+from repro.obs import (
+    CollectorSink,
+    MetricsRegistry,
+    attached,
+    event,
+    span,
+    summarize_records,
+)
 from repro.obs.report import (
     Report,
     Section,
     build_report,
+    metrics_rows,
     render_html,
     render_markdown,
 )
@@ -223,3 +231,120 @@ class TestRenderers:
         num_pes = len(row_labels)
         assert all(len(r) == num_pes for r in grid)
         assert col_labels[-1] == "accumulated"
+
+
+@pytest.fixture(scope="module")
+def workload_trace():
+    """Two iteration spans, a sweep, one degradation and metric lines."""
+    sink = CollectorSink()
+    with attached(sink):
+        with span("flow", benchmark="unit"):
+            with span("phase1"):
+                pass
+            with span("phase2"):
+                with span("iteration", index=1):
+                    pass
+                with span("iteration", index=2):
+                    pass
+            event("algorithm1.explain", cause="iteration", iteration=1)
+            event("algorithm1.stats", benchmark="unit", mode="freeze",
+                  degradation="none", ilp_bumps=3, cert_cold_rebuilds=1,
+                  st_trajectory=[2.0], verdicts=["accepted"])
+            event("certification.checked", benchmark="unit", checks=6)
+        with span("table1_entry", benchmark="B1"):
+            pass
+        with span("table1_entry", benchmark="B2"):
+            event("sweep.worker_crash", entry="B2", exitcode=-9)
+    registry = MetricsRegistry()
+    registry.counter("unit.count").inc(2)
+    registry.histogram("unit.hist").observe(1.0)
+    registry.histogram("kernels.sta.seconds").observe(0.5)
+    metrics = [
+        {"type": "metric", "name": name, "parent": None, "duration_s": 0.0,
+         **data}
+        for name, data in registry.snapshot().items()
+    ]
+    return summarize_records(sink.records + metrics)
+
+
+def _section(report, slug):
+    (section,) = [s for s in report.sections if s.slug == slug]
+    return section
+
+
+def _table_rows(section):
+    return [row for block in section.blocks if block[0] == "table"
+            for row in block[2]]
+
+
+class TestTraceReport:
+    """The facts a trace alone carries, each in exactly one section."""
+
+    def test_timeline_counts_repeated_paths(self, workload_trace):
+        (bars,) = _section(build_report(trace=workload_trace), "timeline").blocks
+        counts = {label.strip(): count for label, count, _, _ in bars[1]}
+        assert counts["iteration"] == 2  # two spans, one row
+        assert counts["table1_entry"] == 2
+
+    def test_timeline_parents_precede_children(self, workload_trace):
+        (bars,) = _section(build_report(trace=workload_trace), "timeline").blocks
+        names = [label.strip() for label, *_ in bars[1]]
+        assert names.index("flow") < names.index("phase2")
+        assert names.index("phase2") < names.index("iteration")
+        page = render_markdown(build_report(trace=workload_trace))
+        assert "| stage | count | wall_s | share_% |" in page
+
+    def test_trace_without_spans_has_no_timeline(self):
+        summary = summarize_records([_event("flow.fallback", reason="mttf")])
+        slugs = [s.slug for s in build_report(trace=summary).sections]
+        assert "timeline" not in slugs
+        assert "degradations" in slugs
+
+    def test_sweep_verdicts_worst_first(self, workload_trace):
+        rows = _table_rows(_section(build_report(trace=workload_trace), "sweep"))
+        assert rows == [["B2", "retried"], ["B1", "ok"]]
+
+    def test_degradations_section(self, workload_trace):
+        rows = _table_rows(
+            _section(build_report(trace=workload_trace), "degradations")
+        )
+        assert rows == [
+            ["sweep.worker_crash", "table1_entry", "entry=B2 exitcode=-9"]
+        ]
+
+    def test_events_section_holds_only_unrendered_events(self, workload_trace):
+        rows = _table_rows(_section(build_report(trace=workload_trace), "events"))
+        assert rows == [
+            ["certification.checked", "flow", "benchmark=unit checks=6"]
+        ]
+
+    def test_metrics_section_and_kernel_timers_once(self, workload_trace):
+        report = build_report(trace=workload_trace)
+        rows = _table_rows(_section(report, "metrics"))
+        assert [row[0] for row in rows] == ["unit.count", "unit.hist"]
+        assert rows[0][1:] == ["counter", 2]
+        assert "p50=1.0000" in rows[1][2] and "p95=1.0000" in rows[1][2]
+        kernels = _table_rows(_section(report, "evaluation"))
+        assert [row[0] for row in kernels] == ["kernels.sta.seconds"]
+        assert "sum=0.5000" in kernels[0][2]
+
+    def test_trajectory_names_the_run(self, workload_trace):
+        trajectory = _section(build_report(trace=workload_trace), "trajectory")
+        facts = trajectory.blocks[0][1]
+        assert facts["benchmark (mode)"] == "unit (freeze)"
+        assert facts["degradation"] == "none"
+        assert facts["grid bumps (incl. floor skips)"] == 3
+        assert facts["cert cold rebuilds"] == 1
+
+    def test_record_trajectory_leaves_the_run_to_the_overview(self, record):
+        trajectory = _section(build_report(record), "trajectory")
+        assert "benchmark (mode)" not in trajectory.blocks[0][1]
+
+    def test_metrics_formatter_reads_registry_snapshots(self):
+        registry = MetricsRegistry()
+        registry.gauge("g").set(1.5)
+        registry.histogram("h").observe(2.0)
+        rows = {name: (kind, value) for name, kind, value
+                in metrics_rows(registry.snapshot())}
+        assert rows["g"] == ("gauge", 1.5)
+        assert rows["h"][1].startswith("count=1 sum=2.0000 mean=2.0000 p50=")

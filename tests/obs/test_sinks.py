@@ -1,4 +1,4 @@
-"""JSONL sink round-trip, tree rendering and trace summarization."""
+"""JSONL sink round-trip and trace summarization."""
 
 from __future__ import annotations
 
@@ -10,10 +10,8 @@ import pytest
 from repro.obs import (
     JsonlSink,
     MetricsRegistry,
-    TreeSink,
     attached,
     event,
-    render_tree,
     span,
     summarize_records,
     summarize_trace,
@@ -110,23 +108,3 @@ class TestTraceValidation:
         summary = summarize_records(records)
         assert summary.metrics["m"]["value"] == 7
         assert summary.total_s == 1.0
-
-
-class TestTreeRendering:
-    def test_tree_groups_repeated_paths(self):
-        sink = TreeSink()
-        _run_workload(sink)
-        rendered = sink.render()
-        assert "iteration" in rendered
-        assert "2x" in rendered  # the two iteration spans merged into one row
-
-    def test_parents_precede_children(self):
-        sink = TreeSink()
-        _run_workload(sink)
-        lines = sink.render().splitlines()
-        names = [line.split()[0] for line in lines]
-        assert names.index("flow") < names.index("phase2")
-        assert names.index("phase2") < names.index("iteration")
-
-    def test_empty_tree(self):
-        assert render_tree([]) == "(no spans recorded)"

@@ -8,7 +8,7 @@ import pytest
 
 from repro.obs import (
     PATH_SEP,
-    TreeSink,
+    CollectorSink,
     attached,
     current_span,
     event,
@@ -42,14 +42,14 @@ class TestNesting:
         assert current_span() is None
 
     def test_sibling_spans_share_parent(self):
-        sink = TreeSink()
+        sink = CollectorSink()
         with attached(sink):
             with span("flow"):
                 with span("phase1"):
                     pass
                 with span("phase2"):
                     pass
-        paths = [record["path"] for record in sink.spans]
+        paths = [record["path"] for record in sink.records]
         assert paths == ["flow > phase1", "flow > phase2", "flow"]
 
     def test_stack_restored_after_exception(self):
@@ -60,12 +60,12 @@ class TestNesting:
         assert current_span() is None
 
     def test_exception_marks_span(self):
-        sink = TreeSink()
+        sink = CollectorSink()
         with attached(sink):
             with pytest.raises(ValueError):
                 with span("solve"):
                     raise ValueError("infeasible")
-        assert sink.spans[0]["attrs"]["error"] == "ValueError"
+        assert sink.records[0]["attrs"]["error"] == "ValueError"
 
 
 class TestTiming:
@@ -82,12 +82,12 @@ class TestTiming:
         assert sp.duration_s >= in_flight
 
     def test_child_durations_bounded_by_parent(self):
-        sink = TreeSink()
+        sink = CollectorSink()
         with attached(sink):
             with span("parent"):
                 with span("child"):
                     time.sleep(0.01)
-        by_name = {r["name"]: r for r in sink.spans}
+        by_name = {r["name"]: r for r in sink.records}
         assert by_name["child"]["duration_s"] <= by_name["parent"]["duration_s"]
 
 
@@ -98,11 +98,11 @@ class TestAttrsAndEvents:
         assert sp.attrs == {"mode": "rotate", "iterations": 3}
 
     def test_event_carries_parent_and_duration(self):
-        sink = TreeSink()
+        sink = CollectorSink()
         with attached(sink):
             with span("flow"):
                 event("fallback", reason="mttf")
-        (record,) = sink.events
+        (record,) = [r for r in sink.records if r["type"] == "event"]
         assert record["name"] == "fallback"
         assert record["parent"] == "flow"
         assert record["duration_s"] == 0.0
@@ -121,7 +121,7 @@ class TestAttrsAndEvents:
 
 class TestSinkManagement:
     def test_attached_is_scoped(self):
-        sink = TreeSink()
+        sink = CollectorSink()
         before = len(active_sinks())
         with attached(sink):
             assert sink in active_sinks()
@@ -129,7 +129,7 @@ class TestSinkManagement:
         assert len(active_sinks()) == before
 
     def test_no_sink_no_records(self):
-        sink = TreeSink()
+        sink = CollectorSink()
         with span("unobserved"):
             pass
-        assert sink.spans == []
+        assert sink.records == []

@@ -53,6 +53,27 @@ class TestCertifyArtifact:
         }
         assert "unassigned" in kinds
 
+    def test_one_graph_build_and_one_sta_per_floorplan(
+        self, flow_document, monkeypatch
+    ):
+        import repro.timing.sta as sta
+
+        calls = {"build_timing_graphs": 0, "analyze": 0}
+
+        def counted(name):
+            real = getattr(sta, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sta, name, counted(name))
+        assert certify_artifact(flow_document)["ok"]
+        assert calls == {"build_timing_graphs": 1, "analyze": 2}
+
     def test_wrong_kind_raises(self):
         with pytest.raises(CertificationError, match="flow_result"):
             certify_artifact({"kind": "bench_record"})

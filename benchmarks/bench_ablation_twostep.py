@@ -96,10 +96,8 @@ def test_premapping_shrinks_branching_tree(benchmark):
         raw_nodes = raw.stats.nodes
         # Two-step: LP relax, fix, then reference-solve the residue.
         model2, variables2, _ = build()
-        relaxed = model2.relaxed()
-        lp = relaxed.solve()
-        relaxed.restore_types()
-        threshold_fix(model2, variables2.groups(), lp)
+        lp = model2.solve(relax=True)
+        threshold_fix(model2, variables2.groups, lp)
         fixed_backend = BranchBoundBackend(max_nodes=20_000)
         fixed = model2.solve(fixed_backend)
         return raw_nodes, fixed.stats.nodes, raw, fixed

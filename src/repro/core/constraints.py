@@ -27,11 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.arch.fabric import Fabric
 from repro.errors import BudgetInfeasibleError, ModelError
 from repro.hls.allocate import MappedDesign
+from repro.milp.constraint import Sense
 from repro.milp.expr import LinExpr, Variable, linear_sum
-from repro.milp.model import Model
+from repro.milp.model import Model, RowBlock, RowTags
 from repro.timing.graph import Endpoint, EndpointKind
 from repro.timing.kpaths import MonitoredPath
 
@@ -52,8 +55,15 @@ class RemapVariables:
     ----------
     model:
         The MILP under construction.
-    assign:
-        ``{op_id: [(variable, pe_index), ...]}`` one-hot groups.
+    ops:
+        Movable op ids in ascending order, one assignment group each.
+    groups:
+        Column offsets of the one-hot groups: op ``ops[g]``'s binaries
+        are columns ``groups[g]:groups[g + 1]``, in candidate order.
+    pes:
+        Candidate PE of each binary, from column ``groups[0]`` on.
+    contexts:
+        Context of each op of ``ops``.
     coords:
         Per-endpoint coordinate expressions.
     distance_vars:
@@ -61,15 +71,32 @@ class RemapVariables:
     """
 
     model: Model
-    assign: dict[int, list[tuple[Variable, int]]] = field(default_factory=dict)
+    ops: list[int]
+    groups: np.ndarray
+    pes: np.ndarray
+    contexts: np.ndarray
     coords: CoordinateExprs = field(default_factory=CoordinateExprs)
     distance_vars: dict[frozenset, tuple[Variable, Variable]] = field(
         default_factory=dict
     )
 
-    def groups(self) -> list[list[Variable]]:
-        """Assignment groups for the rounding strategies."""
-        return [[var for var, _ in members] for members in self.assign.values()]
+    def __post_init__(self) -> None:
+        self.group_of = {op_id: g for g, op_id in enumerate(self.ops)}
+
+    def candidates_of(self, op_id: int) -> list[tuple[int, int]]:
+        """``(column, PE)`` of each candidate of ``op_id``."""
+        g = self.group_of[op_id]
+        start, end = int(self.groups[g]), int(self.groups[g + 1])
+        first = int(self.groups[0])
+        return list(zip(range(start, end), self.pes[start - first:end - first].tolist()))
+
+    def members(self, op_id: int) -> list[tuple[Variable, int]]:
+        """``(variable, PE)`` of each candidate of ``op_id``; the handles
+        are made on demand (only path endpoints need them)."""
+        return [(self.model.column(j), pe) for j, pe in self.candidates_of(op_id)]
+
+    def column_contexts(self) -> np.ndarray:
+        return np.repeat(self.contexts, np.diff(self.groups))
 
 
 def _endpoint_key(endpoint: Endpoint) -> tuple[str, int]:
@@ -81,22 +108,31 @@ def add_assignment_variables(
     candidates: Mapping[int, Sequence[int]],
     design: MappedDesign,
 ) -> RemapVariables:
-    """Create the one-hot OP_ijk variables and assignment constraints."""
-    variables = RemapVariables(model=model)
-    for op_id in sorted(candidates):
-        context = design.ops[op_id].context
-        members: list[tuple[Variable, int]] = []
-        for pe_index in candidates[op_id]:
-            var = model.add_binary(f"x[{op_id},c{context},pe{pe_index}]")
-            members.append((var, pe_index))
-        if not members:
+    """Create the one-hot OP_ijk binaries and one assignment row per op."""
+    ops = sorted(candidates)
+    for op_id in ops:
+        if not candidates[op_id]:
             raise ModelError(f"op {op_id} has no candidate PEs")
-        variables.assign[op_id] = members
-        model.add_constraint(
-            linear_sum(var for var, _ in members) == 1,
-            name=f"assign[{op_id}]",
-            tags={"family": "assignment", "op": op_id, "context": context},
-        )
+    sizes = np.array([len(candidates[op_id]) for op_id in ops], dtype=np.int64)
+    pes = np.fromiter(
+        (pe for op_id in ops for pe in candidates[op_id]), np.int64,
+        count=int(sizes.sum()),
+    )
+    contexts = np.array([design.ops[op_id].context for op_id in ops], dtype=np.int64)
+    owner = np.repeat(np.arange(len(ops)), sizes)
+    first = model.add_binaries(
+        len(pes),
+        lambda j: f"x[{ops[owner[j]]},c{contexts[owner[j]]},pe{pes[j]}]",
+    )
+    groups = first + np.concatenate(([0], np.cumsum(sizes)))
+    variables = RemapVariables(
+        model=model, ops=ops, groups=groups, pes=pes, contexts=contexts
+    )
+    model.add_block(RowBlock(
+        Sense.EQ, row=owner, col=np.arange(first, first + len(pes)),
+        coef=np.ones(len(pes)), rhs=np.ones(len(ops)),
+        tags=RowTags("assignment", "assign[{op}]", {"op": ops, "context": contexts}),
+    ))
     return variables
 
 
@@ -105,24 +141,31 @@ def add_exclusivity_constraints(
     design: MappedDesign,
     num_pes: int,
 ) -> None:
-    """At most one movable op per (context, PE) slot.
+    """At most one movable op per (context, PE) slot: one row per slot
+    with two or more candidates, in (context, PE) order.
 
     Slots occupied by frozen ops must already be excluded from candidate
     sets, so they need no constraint here.
     """
-    per_slot: dict[tuple[int, int], list[Variable]] = {}
-    for op_id, members in variables.assign.items():
-        context = design.ops[op_id].context
-        for var, pe_index in members:
-            per_slot.setdefault((context, pe_index), []).append(var)
-    for (context, pe_index), slot_vars in sorted(per_slot.items()):
-        if len(slot_vars) < 2:
-            continue  # a single candidate can never conflict
-        variables.model.add_constraint(
-            linear_sum(slot_vars) <= 1,
-            name=f"slot[c{context},pe{pe_index}]",
-            tags={"family": "exclusivity", "context": context, "pe": pe_index},
-        )
+    contexts, pes = variables.column_contexts(), variables.pes
+    if not len(pes):
+        return
+    order = np.lexsort((pes, contexts))  # stable: column order per slot
+    context, pe = contexts[order], pes[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (context[1:] != context[:-1]) | (pe[1:] != pe[:-1]))
+    ))
+    sizes = np.diff(np.append(starts, len(order)))
+    shared = sizes >= 2  # a single candidate can never conflict
+    slot = np.repeat(np.cumsum(shared) - 1, sizes)
+    keep = np.repeat(shared, sizes)
+    variables.model.add_block(RowBlock(
+        Sense.LE, row=slot[keep], col=variables.groups[0] + order[keep],
+        coef=np.ones(int(keep.sum())), rhs=np.ones(int(shared.sum())),
+        tags=RowTags("exclusivity", "slot[c{context},pe{pe}]", {
+            "context": context[starts[shared]], "pe": pe[starts[shared]],
+        }),
+    ))
 
 
 def add_stress_constraints(
@@ -133,7 +176,8 @@ def add_stress_constraints(
     frozen_stress_ns: Mapping[int, float],
     fabric: Fabric | None = None,
 ) -> None:
-    """Per-PE accumulated stress budget (the first constraint of Eq. 3).
+    """Per-PE accumulated stress budget (the first constraint of Eq. 3):
+    one row per PE that has a candidate, in PE order.
 
     The rows are registered against the model's ``st_target`` RHS
     parameter, so Algorithm 1's relaxation loop re-stamps them in O(PEs)
@@ -143,42 +187,42 @@ def add_stress_constraints(
     When ``fabric`` is given, rows carry the PE's grid coordinates in
     their domain tags so diagnostics can point at the physical cell.
     """
-    per_pe_terms: dict[int, list[LinExpr]] = {}
-    for op_id, members in variables.assign.items():
-        stress = design.ops[op_id].stress_ns
-        for var, pe_index in members:
-            per_pe_terms.setdefault(pe_index, []).append(
-                LinExpr.from_term(var, stress)
-            )
-    variables.model.declare_parameter("st_target", st_target_ns)
-    for pe_index in range(num_pes):
+    model = variables.model
+    model.declare_parameter("st_target", st_target_ns)
+    committed = np.array(
+        [frozen_stress_ns.get(pe_index, 0.0) for pe_index in range(num_pes)]
+    )
+    over = np.flatnonzero(committed > st_target_ns + 1e-9)
+    if over.size:
+        pe_index = int(over[0])
         frozen = frozen_stress_ns.get(pe_index, 0.0)
-        if frozen > st_target_ns + 1e-9:
-            exc = BudgetInfeasibleError(
-                f"frozen stress {frozen:.3f}ns on PE {pe_index} already "
-                f"exceeds ST_target {st_target_ns:.3f}ns"
-            )
-            exc.pe_index = pe_index
-            exc.frozen_ns = frozen
-            exc.st_target_ns = st_target_ns
-            raise exc
-        terms = per_pe_terms.get(pe_index)
-        if terms is None:
-            continue
-        tags: dict[str, object] = {
-            "family": "stress",
-            "pe": pe_index,
-            "frozen_ns": round(frozen, 9),
-        }
-        if fabric is not None:
-            tags["row"] = int(fabric.row_of[pe_index])
-            tags["col"] = int(fabric.col_of[pe_index])
-        variables.model.add_constraint(
-            linear_sum(terms) <= st_target_ns - frozen,
-            name=f"stress[pe{pe_index}]",
-            parameter="st_target",
-            tags=tags,
+        exc = BudgetInfeasibleError(
+            f"frozen stress {frozen:.3f}ns on PE {pe_index} already "
+            f"exceeds ST_target {st_target_ns:.3f}ns"
         )
+        exc.pe_index = pe_index
+        exc.frozen_ns = frozen
+        exc.st_target_ns = st_target_ns
+        raise exc
+    stress = np.array([design.ops[op_id].stress_ns for op_id in variables.ops])
+    order = np.argsort(variables.pes, kind="stable")  # column order per PE
+    pe = variables.pes[order]
+    present = np.unique(pe)
+    fields: dict[str, object] = {
+        "pe": present,
+        "frozen_ns": [round(frozen_stress_ns.get(int(k), 0.0), 9) for k in present],
+    }
+    if fabric is not None:
+        fields["row"] = fabric.row_of[present].astype(int)
+        fields["col"] = fabric.col_of[present].astype(int)
+    model.add_block(RowBlock(
+        Sense.LE, row=np.searchsorted(present, pe),
+        col=variables.groups[0] + order,
+        coef=np.repeat(stress, np.diff(variables.groups))[order],
+        rhs=st_target_ns - committed[present],
+        tags=RowTags("stress", "stress[pe{pe}]", fields),
+        parameter="st_target",
+    ))
 
 
 def build_coordinates(
@@ -200,8 +244,8 @@ def build_coordinates(
             continue
         if endpoint.kind is EndpointKind.OP:
             op_id = endpoint.ident
-            if op_id in variables.assign:
-                members = variables.assign[op_id]
+            if op_id in variables.group_of:
+                members = variables.members(op_id)
                 coords.x_of[key] = linear_sum(
                     LinExpr.from_term(var, fabric.col_of[pe]) for var, pe in members
                 )

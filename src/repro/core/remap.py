@@ -371,7 +371,7 @@ def _greedy_complete(
     # carry path delay, so they dominate the cost; register reads and pad
     # wires only matter for congestion.
     neighbors: dict[int, list[tuple[object, float]]] = {
-        op: [] for op in variables.assign
+        op: [] for op in variables.ops
     }
     for src, dst in design.compute_edges:
         weight = (
@@ -394,11 +394,12 @@ def _greedy_complete(
     order: list[int] = []
     for context in range(design.num_contexts):
         order += topological_order(
-            (op for op in variables.assign
+            (op for op in variables.ops
              if design.ops[op].context == context),
             design.compute_edges,
         )
 
+    lp_x = lp_solution.x.tolist()
     assignment: dict[int, int] = {}
     for op_id in order:
         op = design.ops[op_id]
@@ -409,7 +410,7 @@ def _greedy_complete(
             elif item in positions:
                 placed_neighbors.append((positions[item], weight))
         best = None
-        for var, pe_index in variables.assign[op_id]:
+        for column, pe_index in variables.candidates_of(op_id):
             if (op.context, pe_index) in slots:
                 continue
             if stress.get(pe_index, 0.0) + op.stress_ns > ctx.st_target_ns + 1e-9:
@@ -419,7 +420,7 @@ def _greedy_complete(
                 weight * (abs(pe.row - point[0]) + abs(pe.col - point[1]))
                 for point, weight in placed_neighbors
             )
-            mass = lp_solution.value(var, 0.0)
+            mass = lp_x[column]
             score = (wire - GREEDY_LP_BIAS * mass, pe_index)
             if best is None or score < best[0]:
                 best = (score, pe_index)
@@ -477,11 +478,9 @@ def require_not_error(solution) -> None:
 
 
 def _extract(variables: RemapVariables, solution) -> dict[int, int]:
-    groups = {
-        op_id: [(var, pe) for var, pe in members]
-        for op_id, members in variables.assign.items()
-    }
-    return extract_assignment(groups, solution)
+    winners = extract_assignment(variables.groups, solution, keys=variables.ops)
+    pes = variables.pes[winners - variables.groups[0]]
+    return dict(zip(variables.ops, pes.tolist()))
 
 
 def _solve_stats_dict(solution) -> dict | None:
@@ -543,9 +542,7 @@ def _solve_two_step(
 
     with span("milp_solve", strategy="two-step") as solve_span:
         with span("lp_relax"):
-            relaxed = model.relaxed()
-            lp_solution = relaxed.solve(backend)
-            relaxed.restore_types()
+            lp_solution = model.solve(backend, relax=True)
         stats["lp_s"] = lp_solution.solve_seconds
         stats["lp_status"] = lp_solution.status.value
         stats["lp_stats"] = _solve_stats_dict(lp_solution)
@@ -573,7 +570,7 @@ def _solve_two_step(
             counter("milp.greedy_completion_failures").inc()
             stats["greedy_failed"] = True  # fall through to the ILP
 
-        groups = variables.groups()
+        groups = variables.groups
         if config.rounding == "threshold":
             report = threshold_fix(model, groups, lp_solution)
         elif config.rounding == "randomized":

@@ -24,14 +24,6 @@ BINDING_TOL = 1e-6
 _HIST_EDGES = (0.0, 1e-6, 1e-3, 1e-2, 1e-1, 1.0, float("inf"))
 
 
-def _sense_str(sense: object) -> str:
-    return getattr(sense, "value", sense)  # Sense enum or plain string
-
-
-def _sense_array(senses: Sequence[object]) -> np.ndarray:
-    return np.asarray([_sense_str(s) for s in senses])
-
-
 def attribute_solution(
     form,
     x: np.ndarray,
@@ -42,16 +34,19 @@ def attribute_solution(
     """Attribute a feasible solution ``x`` to its binding constraints.
 
     ``form`` is a :class:`~repro.milp.model.MatrixForm` (duck-typed:
-    ``a_matrix``, ``senses``, ``rhs``); ``metas`` the matching
-    :meth:`~repro.milp.model.Model.row_metadata` tuple.  Returns a
-    JSON-safe dict with per-family slack histograms, the ``top_k``
-    tightest binding inequality rows in domain terms, and the derived
-    ``saturated_pes`` / ``tight_paths`` shortlists.
+    ``a_matrix``, ``senses`` as ``"<="``/``">="``/``"=="`` strings,
+    ``rhs``); ``metas`` the matching
+    :meth:`~repro.milp.model.Model.row_metadata` table (per-row
+    ``families`` plus a :class:`~repro.milp.model.RowMeta` per index,
+    read only for the rows reported).  Returns a JSON-safe dict with
+    per-family slack histograms, the ``top_k`` tightest binding
+    inequality rows in domain terms, and the derived ``saturated_pes`` /
+    ``tight_paths`` shortlists.
     """
     m = form.a_matrix.shape[0]
     if m == 0 or len(metas) != m:
         return {"rows": m, "binding": 0, "families": {}, "top_binding": []}
-    sense_arr = _sense_array(form.senses)
+    sense_arr = np.asarray(form.senses)
     activity = form.a_matrix @ np.asarray(x, float)
     rhs = np.asarray(form.rhs, float)
     slack = np.where(
@@ -61,55 +56,55 @@ def attribute_solution(
     )
     eq_mask = sense_arr == "=="
     binding = slack <= tol
-    labels = _bucket_labels(slack)
+    labels = _bucket_indices(slack)
+    family_arr = np.asarray(metas.families)
+    names, first, inverse = np.unique(
+        family_arr, return_index=True, return_inverse=True
+    )
     families: dict[str, dict] = {}
-    for i, meta in enumerate(metas):
-        family = str(meta.tags.get("family", "untagged"))
-        bucket = families.setdefault(
-            family,
-            {"rows": 0, "binding": 0, "min_slack": float("inf"), "histogram": {}},
+    for k in np.argsort(first, kind="stable"):
+        rows = inverse == k
+        min_slack = float(slack[rows].min())
+        bucket_ids, bucket_first, counts = np.unique(
+            labels[rows], return_index=True, return_counts=True
         )
-        bucket["rows"] += 1
-        if binding[i]:
-            bucket["binding"] += 1
-        if slack[i] < bucket["min_slack"]:
-            bucket["min_slack"] = float(slack[i])
-        edge = labels[i]
-        bucket["histogram"][edge] = bucket["histogram"].get(edge, 0) + 1
-    for bucket in families.values():
-        if bucket["min_slack"] == float("inf"):
-            bucket["min_slack"] = 0.0
+        families[str(names[k])] = {
+            "rows": int(rows.sum()),
+            "binding": int(binding[rows].sum()),
+            "min_slack": 0.0 if min_slack == float("inf") else min_slack,
+            "histogram": {
+                _label(bucket_ids[j]): int(counts[j])
+                for j in np.argsort(bucket_first, kind="stable")
+            },
+        }
     # Equalities are binding by construction; rank only inequality rows.
     candidates = np.flatnonzero(binding & ~eq_mask)
-    order = candidates[np.argsort(slack[candidates])][:top_k]
-    top_binding = [
-        {
+    ranked = candidates[np.argsort(slack[candidates])]
+    top_binding = []
+    for i in ranked[:top_k]:
+        meta = metas[int(i)]
+        top_binding.append({
             "row": int(i),
-            "name": metas[i].name,
-            "family": str(metas[i].tags.get("family", "untagged")),
-            "sense": metas[i].sense,
-            "rhs": float(metas[i].rhs),
+            "name": meta.name,
+            "family": str(meta.tags.get("family", "untagged")),
+            "sense": meta.sense,
+            "rhs": float(meta.rhs),
             "slack": float(slack[i]),
-            "tags": dict(metas[i].tags),
-        }
-        for i in order
-    ]
-    saturated_pes = sorted(
-        {
-            int(metas[i].tags["pe"])
-            for i in np.flatnonzero(binding)
-            if metas[i].tags.get("family") == "stress" and "pe" in metas[i].tags
-        }
-    )
-    tight_paths = [
-        {
-            "path": int(metas[i].tags.get("path", -1)),
-            "context": metas[i].tags.get("context"),
+            "tags": dict(meta.tags),
+        })
+    saturated_pes = sorted({
+        int(metas[int(i)].tags["pe"])
+        for i in np.flatnonzero(binding & (family_arr == "stress"))
+        if "pe" in metas[int(i)].tags
+    })
+    tight_paths = []
+    for i in ranked[family_arr[ranked] == "path"][:top_k]:
+        tags = metas[int(i)].tags
+        tight_paths.append({
+            "path": int(tags.get("path", -1)),
+            "context": tags.get("context"),
             "slack": float(slack[i]),
-        }
-        for i in candidates[np.argsort(slack[candidates])]
-        if metas[i].tags.get("family") == "path"
-    ][:top_k]
+        })
     return {
         "rows": int(m),
         "binding": int(binding.sum()),
@@ -127,21 +122,15 @@ _HIST_LABELS = tuple(
 )
 
 
-def _bucket_label(slack: float) -> str:
-    if slack < 0:
-        return "<0"
-    return _HIST_LABELS[
-        int(np.searchsorted(_HIST_EDGES[1:-1], slack, side="right"))
-    ]
-
-
-def _bucket_labels(slack: np.ndarray) -> list[str]:
-    """Vectorized :func:`_bucket_label` over a slack vector."""
+def _bucket_indices(slack: np.ndarray) -> np.ndarray:
+    """Histogram bucket of each slack: -1 below zero, else an index
+    into :data:`_HIST_LABELS`."""
     indices = np.searchsorted(_HIST_EDGES[1:-1], slack, side="right")
-    return [
-        "<0" if value < 0 else _HIST_LABELS[index]
-        for value, index in zip(slack, indices)
-    ]
+    return np.where(slack < 0, -1, indices)
+
+
+def _label(index: int) -> str:
+    return "<0" if index < 0 else _HIST_LABELS[index]
 
 
 def attribution_brief(attribution: Mapping | None) -> dict | None:

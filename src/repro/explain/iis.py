@@ -16,13 +16,14 @@ is monotone under row removal, so if dropping row ``r`` from an earlier
 superset was feasible, dropping it from the final subset is feasible too
 — every kept row is certifiably necessary.
 
-Probes run on row submatrices of the compiled CSR via scipy.  An LP
+Probes run on row submatrices of the compiled CSR through the HiGHS
+backend's own call (:func:`repro.milp.scipy_backend.run_highs`).  An LP
 probe runs first (LP infeasible implies MILP infeasible); only when the
 LP is feasible and integer variables exist does a time-limited MILP
 probe run.  An indeterminate probe (limit hit) keeps the row and marks
 the result unverified rather than guessing.
 
-Variable *bounds* (including ``fix_variable`` pins) are part of the
+Variable *bounds* (including ``fix_columns`` pins) are part of the
 background system, not candidates for deletion — an IIS here is a
 minimal set of *rows* given the bounds, which matches how the model
 builders express all domain facts as rows.
@@ -35,8 +36,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint
-from scipy.optimize import milp as _scipy_milp
 
 #: Default wall-clock budget for one whole extraction.
 DEFAULT_TIME_LIMIT_S = 30.0
@@ -169,22 +168,12 @@ class _Prober:
     """Feasibility probes over row subsets of one compiled matrix form."""
 
     def __init__(self, form, time_limit_s: float, probe_limit_s: float) -> None:
-        self.a_matrix = form.a_matrix.tocsr()
-        m = self.a_matrix.shape[0]
-        senses = [getattr(s, "value", s) for s in form.senses]
-        self.row_lower = np.full(m, -np.inf)
-        self.row_upper = np.full(m, np.inf)
-        for i, sense in enumerate(senses):
-            if sense == "<=":
-                self.row_upper[i] = form.rhs[i]
-            elif sense == ">=":
-                self.row_lower[i] = form.rhs[i]
-            else:
-                self.row_lower[i] = self.row_upper[i] = form.rhs[i]
-        self.bounds = Bounds(form.lower, form.upper)
-        self.integrality = np.asarray(form.integrality)
-        self.has_integers = bool(self.integrality.any())
-        self.zero_cost = np.zeros(self.a_matrix.shape[1])
+        self.form = form
+        self.row_lower, self.row_upper = (
+            form.compiled.ilp_layout().row_bounds(form.rhs)
+        )
+        self.has_integers = bool(form.integrality.any())
+        self.zero_cost = np.zeros(len(form.lower))
         self.deadline = time.monotonic() + time_limit_s
         self.probe_limit_s = probe_limit_s
         self.probes = 0
@@ -195,7 +184,7 @@ class _Prober:
     def infeasible(self, rows: np.ndarray) -> bool | None:
         """True = subset proven infeasible, False = feasible, None = unknown."""
         self.probes += 1
-        if self.a_matrix.shape[1] == 0:
+        if not len(self.zero_cost):
             # Zero-variable system (every op frozen): each row's LHS is the
             # empty sum 0, so feasibility is a direct bound check — scipy
             # rejects an empty cost vector, and no probe is needed anyway.
@@ -203,40 +192,32 @@ class _Prober:
                 return False
             satisfied = (self.row_lower[rows] <= 0.0) & (self.row_upper[rows] >= 0.0)
             return not bool(satisfied.all())
-        constraints = (
-            LinearConstraint(
-                self.a_matrix[rows], self.row_lower[rows], self.row_upper[rows]
-            )
-            if rows.size
-            else ()
-        )
-        verdict = self._solve(constraints, relax=True)
+        layout = self.form.compiled.ilp_layout(rows)
+        verdict = self._solve(layout, relax=True)
         if verdict is True:
             return True  # LP infeasible => MILP infeasible
         if not self.has_integers:
             return verdict
         if verdict is None:
             return None
-        return self._solve(constraints, relax=False)
+        return self._solve(layout, relax=False)
 
-    def _solve(self, constraints, relax: bool) -> bool | None:
+    def _solve(self, layout, relax: bool) -> bool | None:
+        from repro.milp.scipy_backend import run_highs
+
         budget = min(self.probe_limit_s, max(self.deadline - time.monotonic(), 0.05))
-        integrality = (
-            np.zeros_like(self.integrality) if relax else self.integrality
-        )
+        form = self.form
         try:
-            result = _scipy_milp(
-                c=self.zero_cost,
-                constraints=constraints,
-                integrality=integrality,
-                bounds=self.bounds,
-                options={"time_limit": budget, "presolve": True},
+            run = run_highs(
+                layout, *layout.row_bounds(form.rhs), self.zero_cost,
+                form.lower, form.upper, None if relax else form.integrality,
+                {"log_to_console": False, "time_limit": budget, "presolve": "on"},
             )
         except Exception:  # pragma: no cover - defensive: HiGHS edge cases
             return None
-        if result.status == 2:
+        if run.code == 2:
             return True
-        if result.success:
+        if run.code == 0:
             return False
         return None
 

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from repro.errors import SolverError
@@ -74,28 +75,34 @@ class BranchBoundBackend:
 
     # -- LP relaxation -------------------------------------------------------
     @staticmethod
+    def _split(form: MatrixForm) -> dict:
+        """``linprog``'s row arguments: ``<=`` rows and negated ``>=``
+        rows in model order as ``A_ub``, the ``==`` rows as ``A_eq``."""
+        equal = form.senses == "=="
+        scale = np.where(form.senses == ">=", -1.0, 1.0)
+        a_matrix = sparse.diags(scale) @ form.a_matrix
+        rows = {}
+        if (~equal).any():
+            rows["A_ub"], rows["b_ub"] = a_matrix[~equal], (form.rhs * scale)[~equal]
+        if equal.any():
+            rows["A_eq"], rows["b_eq"] = a_matrix[equal], form.rhs[equal]
+        return rows
+
+    @staticmethod
     def _solve_relaxation(
-        form: MatrixForm, lower: np.ndarray, upper: np.ndarray
+        form: MatrixForm, rows: dict, lower: np.ndarray, upper: np.ndarray
     ):
         """Solve the LP relaxation on the given bound box.
 
-        Returns ``(objective, x)`` or ``None`` when infeasible.  The
-        constraint split is cached on ``form``, so the per-node cost is
-        one linprog call, not a fresh matrix assembly.
+        Returns ``(objective, x)`` or ``None`` when infeasible.  ``rows``
+        is :meth:`_split` of ``form``, made once per search, so the
+        per-node cost is one linprog call.
         """
-        a_ub, b_ub, a_eq, b_eq = form.ub_eq_split()
-        kwargs = {}
-        if a_ub is not None:
-            kwargs["A_ub"] = a_ub
-            kwargs["b_ub"] = b_ub
-        if a_eq is not None:
-            kwargs["A_eq"] = a_eq
-            kwargs["b_eq"] = b_eq
         result = linprog(
             c=form.objective,
             bounds=np.column_stack([lower, upper]),
             method="highs",
-            **kwargs,
+            **rows,
         )
         if result.status == 2:  # infeasible
             return None
@@ -104,14 +111,14 @@ class BranchBoundBackend:
         return float(result.fun), result.x
 
     # -- main loop --------------------------------------------------------------
-    def solve(self, model: Model) -> Solution:
-        """Solve ``model`` to proven optimality, subject to the
-        constructor's node and time limits."""
+    def solve(self, model: Model, relax: bool = False) -> Solution:
+        """Solve ``model`` (its LP relaxation with ``relax``) to proven
+        optimality, subject to the constructor's node and time limits."""
         stats = SolveStats(backend="branch_bound", kind="milp")
         with span(
             "solver", backend="branch_bound", kind="milp", model=model.name
         ) as solver_span:
-            solution = self._solve(model, solver_span, stats)
+            solution = self._solve(model, relax, solver_span, stats)
             if solution.stats is None:
                 stats.elapsed_s = solver_span.duration_s
                 solution.stats = stats
@@ -128,7 +135,7 @@ class BranchBoundBackend:
         return solution
 
     def _solve(
-        self, model: Model, solver_span, stats: SolveStats
+        self, model: Model, relax: bool, solver_span, stats: SolveStats
     ) -> Solution:
         deadline = current_deadline()
         deadline.check(f"branch_bound:{model.name}")
@@ -136,14 +143,14 @@ class BranchBoundBackend:
         if injected is not None:
             stats.limit_reason = "fault_injected"
             return injected
-        form = model.to_matrix_form()
-        n = len(form.variables)
+        form = model.to_matrix_form(relax=relax)
         time_limit = deadline.cap(self.time_limit)
 
-        if n == 0:
+        if len(form.lower) == 0:
             return Solution(
-                status=SolveStatus.OPTIMAL, objective=0.0, values={},
+                status=SolveStatus.OPTIMAL, objective=0.0, x=np.zeros(0),
             )
+        rows = self._split(form)
 
         discrete = np.flatnonzero(form.integrality)
         tiebreak = itertools.count()
@@ -151,7 +158,7 @@ class BranchBoundBackend:
             SolveProgress(f"bb {model.name}") if progress_enabled() else None
         )
 
-        root = self._solve_relaxation(form, form.lower, form.upper)
+        root = self._solve_relaxation(form, rows, form.lower, form.upper)
         if root is None:
             return Solution(
                 status=SolveStatus.INFEASIBLE,
@@ -200,7 +207,9 @@ class BranchBoundBackend:
                         global_bound,
                     )
                 try:
-                    relaxed = self._solve_relaxation(form, node.lower, node.upper)
+                    relaxed = self._solve_relaxation(
+                        form, rows, node.lower, node.upper
+                    )
                 except SolverError:
                     # A node LP blew up mid-search.  With an incumbent in
                     # hand the search degrades to "best found so far" (the
@@ -258,7 +267,6 @@ class BranchBoundBackend:
         for j in discrete:
             best_x[j] = round(best_x[j])
         attach_attribution(stats, form, best_x, model.row_metadata())
-        values = {var: float(best_x[i]) for i, var in enumerate(form.variables)}
         status = SolveStatus.OPTIMAL if proven else SolveStatus.FEASIBLE
         objective = float(form.objective @ best_x)
         stats.incumbent = objective
@@ -274,7 +282,7 @@ class BranchBoundBackend:
         return Solution(
             status=status,
             objective=objective,
-            values=values,
+            x=best_x,
             solve_seconds=elapsed,
             message=f"nodes={stats.nodes}",
         )

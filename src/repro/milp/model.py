@@ -1,33 +1,46 @@
 """The :class:`Model` container of the MILP modelling layer.
 
-A model owns variables, constraints and an (optional) objective.  The
-paper's formulation (3) is a *feasibility* MILP — ``ObjFunc: Null`` — so the
+A model owns columns, rows and an (optional) objective.  The paper's
+formulation (3) is a *feasibility* MILP — ``ObjFunc: Null`` — so the
 objective defaults to nothing; solvers then search for any feasible point.
 
-Models compile themselves to a sparse matrix form
-(:meth:`Model.to_matrix_form`) consumed by the scipy/HiGHS backend, and
-support the transformations the paper's two-step method needs:
+Columns live in arrays: the live bounds, the original bounds they are
+reset to, and each column's kind.  :meth:`Model.add_binaries` appends a
+whole family of columns at once; :meth:`Model.add_var` appends one column
+with a :class:`~repro.milp.expr.Variable` handle for
+:class:`~repro.milp.expr.LinExpr` algebra, and :meth:`Model.column` makes
+such a handle on demand for a column added without one.
 
-* :meth:`relaxed` — the LP relaxation (all discrete variables made
-  continuous on the same bounds), used in Step 1 / the first half of the
-  two-step solve;
-* :meth:`fix_variable` — pin a variable to a value (used to pre-map
-  assignment variables whose LP value exceeds the 0.95 threshold, and to
-  freeze critical-path operations onto their original PEs), undone in
-  bulk by :meth:`unfix_all` when a model is reused across solves;
-* :meth:`compile` — the incremental-compilation path: the structural
-  lowering (A matrix, senses, objective) is cached on a revision counter
-  and shared with LP relaxations, and constraints registered against a
-  named *parameter* (Algorithm 1's per-PE ``ST_target`` budget) re-stamp
-  their RHS in O(rows) via :meth:`set_parameter` without re-traversing
-  any expression.
+Rows come in two kinds, kept in the order they were added:
+
+* a :class:`RowBlock` is a whole constraint family emitted as arrays in
+  one pass (Eq. (3)'s assignment, exclusivity and stress rows: one row per
+  op, per shared slot, per PE).  Its names and domain tags come from one
+  :class:`RowTags` record, built only when a reader asks for a row;
+* a :class:`~repro.milp.constraint.Constraint` is one row built from
+  ``LinExpr`` algebra (Eq. (5)'s few dozen path and distance rows).
+
+:meth:`Model.compile` lowers both into one CSR, cached on a structure
+revision, and derives from it the two column-wise layouts the HiGHS
+backend passes in (:meth:`CompiledModel.lp_layout` and
+:meth:`CompiledModel.ilp_layout`).  The two-step method's transformations
+act on arrays only:
+
+* the LP relaxation is the same lowering with integrality switched off
+  (``relax=True`` on :meth:`Model.to_matrix_form` and :meth:`Model.solve`);
+* :meth:`Model.fix_columns` pins columns in the bound arrays (the 0.95
+  pre-mapping), and :meth:`Model.unfix_all` restores the saved originals;
+* rows registered against a named *parameter* (Algorithm 1's per-PE
+  ``ST_target`` budget) re-stamp their RHS in O(rows) via
+  :meth:`Model.set_parameter`.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -38,16 +51,81 @@ from repro.milp.expr import LinExpr, Variable, VarType
 from repro.milp.status import Solution
 from repro.obs import counter
 
+#: Column kind codes of :attr:`Model.kinds`, in :class:`VarType` order.
+_KIND_OF = {VarType.CONTINUOUS: 0, VarType.INTEGER: 1, VarType.BINARY: 2}
+_TYPE_OF = {code: vtype for vtype, code in _KIND_OF.items()}
+
+
+def _plain(value):
+    """A tag value as a plain Python scalar (documents carry them)."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
+@dataclass(frozen=True)
+class RowTags:
+    """Names and domain tags of a :class:`RowBlock`'s rows.
+
+    ``name`` is a :meth:`str.format` pattern over ``fields``, which hold
+    one value per row in tag order (e.g. ``"slot[c{context},pe{pe}]"``
+    over ``context`` and ``pe``).  A row's tags are ``family`` followed
+    by its field values, as plain Python scalars.
+    """
+
+    family: str
+    name: str
+    fields: Mapping[str, Sequence] = field(default_factory=dict)
+
+    def name_of(self, row: int) -> str:
+        return self.name.format(
+            **{key: _plain(values[row]) for key, values in self.fields.items()}
+        )
+
+    def tags_of(self, row: int) -> dict:
+        tags: dict[str, object] = {"family": self.family}
+        for key, values in self.fields.items():
+            tags[key] = _plain(values[row])
+        return tags
+
+
+@dataclass(frozen=True)
+class RowBlock:
+    """One constraint family, emitted as ``(row, col, coef)`` triplets.
+
+    Triplets are ordered by row, and by column within a row; a row may
+    have none.  Every row shares ``sense``.  With ``parameter``, the
+    effective RHS is ``rhs + value`` of that parameter (coefficient 1):
+    :meth:`Model.add_block` turns the absolute RHS it is given into that
+    base, exactly as :meth:`Model.add_constraint` does for one row.
+    """
+
+    sense: Sense
+    row: np.ndarray
+    col: np.ndarray
+    coef: np.ndarray
+    rhs: np.ndarray
+    tags: RowTags
+    parameter: str | None = None
+
+    @property
+    def size(self) -> int:
+        return len(self.rhs)
+
+    def rhs_at(self, parameters: Mapping[str, float]) -> np.ndarray:
+        """The RHS at the given parameter values."""
+        if self.parameter is None:
+            return self.rhs
+        return self.rhs + parameters[self.parameter]
+
+
 @dataclass(frozen=True)
 class RowMeta:
     """Identity of one constraint row, for human-readable audit messages.
 
-    ``rhs`` is sampled at call time, so restamped parameter rows report
-    their *current* right-hand side.  ``tags`` carries the constraint's
-    domain metadata (family, PE coordinates, op/context ids — see
-    :mod:`repro.core.constraints`) so diagnostics can speak in problem
-    terms.  Row *identity* (index/name/sense/tags) is stable across
-    restamps; only ``rhs`` moves.
+    ``rhs`` is the row's RHS when the metadata was taken, so restamped
+    parameter rows report their *current* right-hand side.  ``tags``
+    carries the row's domain metadata (family, PE coordinates, op/context
+    ids — see :mod:`repro.core.constraints`) so diagnostics can speak in
+    problem terms.
     """
 
     index: int
@@ -65,119 +143,161 @@ class RowMeta:
         return f"{head}  [{parts}]"
 
 
+class RowTable(Sequence[RowMeta]):
+    """Every row's identity, with names and tags built on request.
+
+    ``families``, ``senses`` and ``rhs`` are per-row arrays for
+    vectorised readers (binding attribution); indexing yields a
+    :class:`RowMeta`.  Derived from the model's row segments — the block
+    records and live ``Constraint`` objects — not from the compiled
+    lowering, so :mod:`repro.verify` can label the rows it re-checks
+    without touching the cache it audits.
+    """
+
+    def __init__(self, segments, parameters: Mapping[str, float]) -> None:
+        self._segments = list(segments)
+        self._starts: list[int] = []
+        families, senses, rhs = [], [], []
+        start = 0
+        for segment in self._segments:
+            self._starts.append(start)
+            if isinstance(segment, RowBlock):
+                families.append(np.full(segment.size, segment.tags.family))
+                senses.append(np.full(segment.size, segment.sense.value))
+                rhs.append(segment.rhs_at(parameters))
+                start += segment.size
+            else:
+                families.append(np.array(
+                    [str(c.tags.get("family", "untagged")) for c in segment],
+                    dtype=object,
+                ))
+                senses.append(np.array([c.sense.value for c in segment]))
+                rhs.append(np.array([c.rhs for c in segment], dtype=float))
+                start += len(segment)
+        self._size = start
+        self.families = (
+            np.concatenate(families).astype(str) if families else np.zeros(0, str)
+        )
+        self.senses = np.concatenate(senses) if senses else np.zeros(0, str)
+        self.rhs = np.concatenate(rhs) if rhs else np.zeros(0)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):  # type: ignore[override]
+        index = int(index)
+        if index < 0:
+            index += self._size
+        if not 0 <= index < self._size:
+            raise IndexError(f"row {index} out of range")
+        position = bisect.bisect_right(self._starts, index) - 1
+        segment, local = self._segments[position], index - self._starts[position]
+        if isinstance(segment, RowBlock):
+            return RowMeta(
+                index=index,
+                name=segment.tags.name_of(local),
+                sense=segment.sense.value,
+                rhs=float(self.rhs[index]),
+                tags=segment.tags.tags_of(local),
+            )
+        constraint = segment[local]
+        return RowMeta(
+            index=index,
+            name=constraint.name or f"row[{index}]",
+            sense=constraint.sense.value,
+            rhs=constraint.rhs,
+            tags=constraint.tags,
+        )
+
+    def __iter__(self) -> Iterator[RowMeta]:
+        return (self[i] for i in range(self._size))
+
+
 @dataclass
 class MatrixForm:
     """Sparse standard form of a model.
 
     ``A x (sense) b`` row-wise, with per-column bounds and integrality
-    markers.  ``senses`` holds one :class:`Sense` per row.
+    markers.  ``senses`` holds one ``"<="``/``">="``/``"=="`` per row.
+    The arrays are snapshots, except ``a_matrix``, ``senses`` and
+    ``objective``, which belong to ``compiled`` (the lowering the form
+    came from) and are read-only.
     """
 
-    variables: list[Variable]
     a_matrix: sparse.csr_matrix
-    senses: list[Sense]
+    senses: np.ndarray
     rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     integrality: np.ndarray  # 1 where the column must be integral, else 0
     objective: np.ndarray
-    #: Lazily-built derived views, cached per form because branch-and-bound
-    #: re-reads them at every node of a search over the same form.
-    _row_bounds: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _ub_eq: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    compiled: "CompiledModel | None" = field(default=None, repr=False)
 
-    def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row ``(lower, upper)`` activity bounds from senses + rhs.
 
-        LE rows bound above, GE rows below, EQ rows both.  Callers must
-        treat the returned arrays as read-only (they are cached).
-        """
-        if self._row_bounds is None:
-            m = len(self.senses)
-            lower = np.full(m, -np.inf)
-            upper = np.full(m, np.inf)
-            for row, sense in enumerate(self.senses):
-                if sense is Sense.LE:
-                    upper[row] = self.rhs[row]
-                elif sense is Sense.GE:
-                    lower[row] = self.rhs[row]
-                else:
-                    lower[row] = upper[row] = self.rhs[row]
-            self._row_bounds = (lower, upper)
-        return self._row_bounds
+@dataclass(frozen=True)
+class HighsLayout:
+    """A column-wise matrix and how its rows map onto the model's.
 
-    def ub_eq_split(self):
-        """``(A_ub, b_ub, A_eq, b_eq)`` for linprog-style solvers.
+    Row ``i`` of the layout is row ``rows[i]`` of the model times
+    ``scale[i]``, bounded below when ``has_lower[i]`` and above when
+    ``has_upper[i]``.
+    """
 
-        GE rows are negated into the A_ub block, preserving the original
-        row order (LE and GE rows stay interleaved — row permutations
-        steer HiGHS to different vertices among degenerate LP optima,
-        which would change downstream rounding decisions).  Each block is
-        ``None`` when empty; arrays are cached and must be treated as
-        read-only.
-        """
-        if self._ub_eq is None:
-            ge = np.array([s is Sense.GE for s in self.senses], dtype=bool)
-            eq = np.array([s is Sense.EQ for s in self.senses], dtype=bool)
-            a_csr = self.a_matrix.tocsr()
-            a_ub = b_ub = a_eq = b_eq = None
-            ub_mask = ~eq
-            if ub_mask.any():
-                a_ub = a_csr[ub_mask].copy()
-                scale = np.where(ge[ub_mask], -1.0, 1.0)
-                a_ub.data *= np.repeat(scale, np.diff(a_ub.indptr))
-                b_ub = self.rhs[ub_mask] * scale
-            if eq.any():
-                a_eq = a_csr[eq]
-                b_eq = self.rhs[eq]
-            self._ub_eq = (a_ub, b_ub, a_eq, b_eq)
-        return self._ub_eq
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    rows: np.ndarray
+    scale: np.ndarray
+    has_lower: np.ndarray
+    has_upper: np.ndarray
+
+    def row_bounds(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(row_lower, row_upper)`` of the layout at the model RHS ``rhs``."""
+        bound = rhs[self.rows] * self.scale
+        return (
+            np.where(self.has_lower, bound, -np.inf),
+            np.where(self.has_upper, bound, np.inf),
+        )
 
 
 class CompiledModel:
     """The structural lowering of a :class:`Model`, reusable across solves.
 
-    Everything that requires traversing Python expression objects — the
-    sparse A matrix, row senses, the parameter row maps and the objective
-    vector — is computed once here.  :meth:`matrix_form` then assembles a
-    fresh :class:`MatrixForm` per call in O(rows + cols): variable bounds
-    and integrality are re-read from the (shared) ``Variable`` objects, so
-    ``fix_variable``/``unfix_all`` and :meth:`Model.relaxed` compose with
-    the cache, and parameterized RHS entries are re-stamped from the
-    model's current parameter values.
+    Everything that requires traversing rows — the sparse A matrix, row
+    senses, the parameter row maps, the objective vector and integrality
+    — is computed once here, per structure revision; the HiGHS layouts
+    are derived from it on first use.  :meth:`stamp_rhs` re-stamps the
+    parameterised RHS entries from the model's current values.
     """
 
     __slots__ = (
-        "variables", "a_matrix", "senses", "rhs_base", "param_rows",
-        "objective", "parameters", "structure_rev",
+        "a_matrix", "senses", "rhs_base", "param_rows", "objective",
+        "integrality", "parameters", "structure_rev", "_layouts",
     )
 
     def __init__(
         self,
-        variables: Sequence[Variable],
         a_matrix: sparse.csr_matrix,
-        senses: Sequence[Sense],
+        senses: np.ndarray,
         rhs_base: np.ndarray,
         param_rows: dict[str, tuple[np.ndarray, np.ndarray]],
         objective: np.ndarray,
+        integrality: np.ndarray,
         parameters: Mapping[str, float],
         structure_rev: int,
     ) -> None:
-        self.variables = list(variables)
         self.a_matrix = a_matrix
-        self.senses = list(senses)
+        self.senses = senses
         #: RHS with every parameter's contribution removed.
         self.rhs_base = rhs_base
         #: ``{parameter: (row_indices, coefficients)}``.
         self.param_rows = param_rows
         self.objective = objective
+        self.integrality = integrality
         #: Live reference to the owning model's parameter values.
         self.parameters = parameters
         self.structure_rev = structure_rev
+        self._layouts: dict[str, HighsLayout] = {}
 
     def stamp_rhs(self) -> np.ndarray:
         """RHS vector at the current parameter values (O(rows))."""
@@ -186,34 +306,48 @@ class CompiledModel:
             rhs[rows] += coeffs * self.parameters[name]
         return rhs
 
-    def matrix_form(self) -> MatrixForm:
-        """A fresh :class:`MatrixForm` at current bounds/types/parameters."""
-        n = len(self.variables)
-        lower = np.fromiter((v.lb for v in self.variables), float, count=n)
-        upper = np.fromiter((v.ub for v in self.variables), float, count=n)
-        integrality = np.fromiter(
-            (0 if v.vtype is VarType.CONTINUOUS else 1 for v in self.variables),
-            np.int8, count=n,
+    def ilp_layout(self, rows: np.ndarray | None = None) -> HighsLayout:
+        """The model's own row order, each row bounded by its sense; with
+        ``rows``, only those rows (uncached: the IIS probes' subsets)."""
+        if rows is None and "ilp" in self._layouts:
+            return self._layouts["ilp"]
+        picked = np.arange(len(self.senses)) if rows is None else rows
+        senses = self.senses[picked]
+        layout = self._layout(
+            picked, np.ones(len(picked)), senses != "<=", senses != ">="
         )
-        return MatrixForm(
-            variables=list(self.variables),
-            a_matrix=self.a_matrix,
-            senses=list(self.senses),
-            rhs=self.stamp_rhs(),
-            lower=lower,
-            upper=upper,
-            integrality=integrality,
-            objective=self.objective,
+        if rows is None:
+            self._layouts["ilp"] = layout
+        return layout
+
+    def lp_layout(self) -> HighsLayout:
+        """``linprog``'s order: the ``<=`` rows and the negated ``>=``
+        rows as they come, then the ``==`` rows.
+
+        Row order steers HiGHS to different vertices among degenerate LP
+        optima, and the 0.95 pre-mapping reads that vertex: the LP must
+        see this order, the residual ILP the model's own.
+        """
+        if "lp" not in self._layouts:
+            equal = self.senses == "=="
+            rows = np.concatenate((np.flatnonzero(~equal), np.flatnonzero(equal)))
+            scale = np.where(self.senses[rows] == ">=", -1.0, 1.0)
+            self._layouts["lp"] = self._layout(
+                rows, scale, equal[rows], np.ones(len(rows), dtype=bool)
+            )
+        return self._layouts["lp"]
+
+    def _layout(self, rows, scale, has_lower, has_upper) -> HighsLayout:
+        matrix = self.a_matrix[np.asarray(rows, dtype=np.intp)]
+        if (scale < 0).any():
+            matrix = matrix.copy()
+            matrix.data *= np.repeat(scale, np.diff(matrix.indptr))
+        csc = matrix.tocsc()
+        csc.sort_indices()
+        return HighsLayout(
+            start=csc.indptr, index=csc.indices, value=csc.data,
+            rows=rows, scale=scale, has_lower=has_lower, has_upper=has_upper,
         )
-
-
-class _CompileCache:
-    """Mutable cache box shared between a model and its LP relaxations."""
-
-    __slots__ = ("compiled",)
-
-    def __init__(self) -> None:
-        self.compiled: CompiledModel | None = None
 
 
 class Model:
@@ -227,29 +361,61 @@ class Model:
 
     def __init__(self, name: str = "model") -> None:
         self.name = name
-        self._variables: list[Variable] = []
+        self._n = 0
+        #: Live bounds, original bounds, kind codes and fix marks per
+        #: column; grown geometrically, valid up to ``_n``.
+        self._lower = np.zeros(0)
+        self._upper = np.zeros(0)
+        self._lower0 = np.zeros(0)
+        self._upper0 = np.zeros(0)
+        self._kind = np.zeros(0, dtype=np.int8)
+        self._fixed = np.zeros(0, dtype=bool)
+        #: Handles of columns that have one (``add_var`` or :meth:`column`).
+        self._handles: dict[int, Variable] = {}
+        #: ``(first, count, namer)`` of each column family from
+        #: :meth:`add_binaries`; ``namer(j)`` names its ``j``-th column.
+        self._namers: list[tuple[int, int, Callable[[int], str]]] = []
+        #: Rows in order: :class:`RowBlock` records and runs of
+        #: ``Constraint`` objects.
+        self._segments: list[RowBlock | list[Constraint]] = []
         self._constraints: list[Constraint] = []
+        self._num_rows = 0
         self._objective: LinExpr = LinExpr.constant_expr(0.0)
         self._minimize = True
-        #: Original (pre-fix) bounds of every currently-fixed variable,
-        #: restored by :meth:`unfix_all`.
-        self._fixed_bounds: dict[Variable, tuple[float, float]] = {}
-        #: Named RHS parameters: current values and the constraints bound
-        #: to each (``{name: [(constraint_list_index, coefficient), ...]}``).
+        #: Named RHS parameters and their current values.
         self._parameters: dict[str, float] = {}
-        #: per parameter: ``[(constraint_index, coeff, absolute_rhs_base)]``
-        self._param_rows: dict[str, list[tuple[int, float, float]]] = {}
-        #: Bumped whenever the *structure* (variables, constraints,
-        #: objective) changes; parameter re-stamps and bound changes do
-        #: not count, so they reuse the compiled lowering.
+        #: Per parameter: ``[(constraint, row, coeff, absolute_rhs_base)]``
+        #: of the ``Constraint`` rows bound to it (blocks carry their own).
+        self._param_rows: dict[str, list[tuple[Constraint, int, float, float]]] = {}
+        #: Bumped whenever the *structure* (columns, rows, objective)
+        #: changes; parameter re-stamps and bound changes do not count,
+        #: so they reuse the compiled lowering.
         self._structure_rev = 0
         #: Bumped on every effective :meth:`set_parameter` re-stamp; with
         #: ``_structure_rev`` it keys the :meth:`row_metadata` cache.
         self._restamp_rev = 0
-        self._row_meta_cache: tuple[int, int, tuple[RowMeta, ...]] | None = None
-        self._compile_cache = _CompileCache()
+        self._row_table: tuple[int, int, RowTable] | None = None
+        self._compiled: CompiledModel | None = None
 
-    # -- variables -----------------------------------------------------------
+    # -- columns ---------------------------------------------------------------
+    def _append_columns(self, lower, upper, kind: int) -> int:
+        first, count = self._n, len(lower)
+        need = first + count
+        if need > self._lower.size:
+            capacity = max(need, 2 * self._lower.size, 16)
+            for attr in ("_lower", "_upper", "_lower0", "_upper0", "_kind", "_fixed"):
+                old = getattr(self, attr)
+                grown = np.zeros(capacity, dtype=old.dtype)
+                grown[:first] = old[:first]
+                setattr(self, attr, grown)
+        self._lower[first:need] = self._lower0[first:need] = lower
+        self._upper[first:need] = self._upper0[first:need] = upper
+        self._kind[first:need] = kind
+        self._fixed[first:need] = False
+        self._n = need
+        self._structure_rev += 1
+        return first
+
     def add_var(
         self,
         name: str,
@@ -259,32 +425,79 @@ class Model:
     ) -> Variable:
         """Create and register a decision variable."""
         var = Variable(name, lb=lb, ub=ub, vtype=vtype)
-        var.index = len(self._variables)
-        self._variables.append(var)
-        self._structure_rev += 1
+        var.index = self._append_columns([var.lb], [var.ub], _KIND_OF[vtype])
+        self._handles[var.index] = var
         return var
 
     def add_binary(self, name: str) -> Variable:
-        """Create a {0, 1} variable (the ``OP_ijk`` variables of Eq. 3)."""
+        """Create a {0, 1} variable."""
         return self.add_var(name, 0.0, 1.0, VarType.BINARY)
 
     def add_continuous(self, name: str, lb: float = 0.0, ub: float = math.inf) -> Variable:
         """Create a continuous variable (the auxiliary distance variables)."""
         return self.add_var(name, lb, ub, VarType.CONTINUOUS)
 
+    def add_binaries(self, count: int, namer: Callable[[int], str]) -> int:
+        """Append ``count`` {0, 1} columns without handles (the ``OP_ijk``
+        variables of Eq. 3); returns the first column's index.
+
+        ``namer(j)`` names the ``j``-th new column when a reader asks.
+        """
+        first = self._append_columns(
+            np.zeros(count), np.ones(count), _KIND_OF[VarType.BINARY]
+        )
+        self._namers.append((first, count, namer))
+        return first
+
+    def column(self, index: int) -> Variable:
+        """The :class:`Variable` handle of column ``index``, made on demand."""
+        var = self._handles.get(index)
+        if var is None:
+            if not 0 <= index < self._n:
+                raise ModelError(f"model {self.name!r} has no column {index}")
+            var = Variable(
+                self.column_name(index),
+                lb=float(self._lower0[index]),
+                ub=float(self._upper0[index]),
+                vtype=_TYPE_OF[int(self._kind[index])],
+            )
+            var.index = index
+            self._handles[index] = var
+        return var
+
+    def column_name(self, index: int) -> str:
+        var = self._handles.get(index)
+        if var is not None:
+            return var.name
+        for first, count, namer in self._namers:
+            if first <= index < first + count:
+                return namer(index - first)
+        return f"col[{index}]"
+
     @property
-    def variables(self) -> Sequence[Variable]:
-        return tuple(self._variables)
+    def lower(self) -> np.ndarray:
+        """Live column lower bounds (a view; pre-mapping fixes included)."""
+        return self._lower[: self._n]
+
+    @property
+    def upper(self) -> np.ndarray:
+        """Live column upper bounds (a view; pre-mapping fixes included)."""
+        return self._upper[: self._n]
+
+    @property
+    def kinds(self) -> np.ndarray:
+        """Per-column kind: 0 continuous, 1 integer, 2 binary."""
+        return self._kind[: self._n]
 
     @property
     def num_variables(self) -> int:
-        return len(self._variables)
+        return self._n
 
     @property
     def num_binary(self) -> int:
-        return sum(1 for v in self._variables if v.vtype is VarType.BINARY)
+        return int(np.count_nonzero(self.kinds == _KIND_OF[VarType.BINARY]))
 
-    # -- constraints -----------------------------------------------------------
+    # -- rows --------------------------------------------------------------------
     def add_constraint(
         self,
         constraint: Constraint,
@@ -325,11 +538,7 @@ class Model:
         for var in constraint.lhs.variables():
             self._check_owned(var)
         if parameter is not None:
-            if parameter not in self._parameters:
-                raise ModelError(
-                    f"parameter {parameter!r} is not declared on model "
-                    f"{self.name!r}"
-                )
+            self._check_parameter(parameter)
             coeff = float(parameter_coeff)
             # Absolute base: the RHS with the parameter's current
             # contribution removed.  Stamping is then ``base + coeff*v``
@@ -338,65 +547,94 @@ class Model:
             # the bare parameter, within 1 ULP otherwise).
             self._param_rows[parameter].append(
                 (
-                    len(self._constraints),
+                    constraint,
+                    self._num_rows,
                     coeff,
                     constraint.rhs - coeff * self._parameters[parameter],
                 )
             )
+        if self._segments and isinstance(self._segments[-1], list):
+            self._segments[-1].append(constraint)
+        else:
+            self._segments.append([constraint])
         self._constraints.append(constraint)
+        self._num_rows += 1
         self._structure_rev += 1
         return constraint
 
+    def add_block(self, block: RowBlock) -> RowBlock:
+        """Register a family of rows emitted as arrays.
+
+        With ``block.parameter``, ``block.rhs`` is the RHS at the
+        parameter's current value; the stored block carries the base
+        ``rhs - value``, stamped as ``base + value``.
+        """
+        if block.col.size and (block.col.min() < 0 or block.col.max() >= self._n):
+            raise ModelError(
+                f"row block {block.tags.family!r} names a column outside "
+                f"model {self.name!r}"
+            )
+        if block.parameter is not None:
+            self._check_parameter(block.parameter)
+            block = replace(
+                block, rhs=block.rhs - 1.0 * self._parameters[block.parameter]
+            )
+        self._segments.append(block)
+        self._num_rows += block.size
+        self._structure_rev += 1
+        return block
+
     @property
     def constraints(self) -> Sequence[Constraint]:
+        """The ``Constraint`` rows (block rows are not listed)."""
         return tuple(self._constraints)
 
     @property
     def num_constraints(self) -> int:
-        return len(self._constraints)
+        """Rows of every kind."""
+        return self._num_rows
 
-    def row_metadata(self) -> tuple[RowMeta, ...]:
-        """Per-row identity (index, name, sense, current RHS).
+    def segments(self) -> tuple[RowBlock | tuple[Constraint, ...], ...]:
+        """The rows in order: blocks, and runs of ``Constraint`` rows."""
+        return tuple(
+            seg if isinstance(seg, RowBlock) else tuple(seg)
+            for seg in self._segments
+        )
 
-        Derived from the *live* constraint objects — deliberately not from
-        the compiled lowering — so :mod:`repro.verify` can label the rows
-        it re-checks without touching the cache it is auditing.  Unnamed
-        rows get a positional ``row[i]`` label.
+    def row_metadata(self) -> RowTable:
+        """Per-row identity (index, name, sense, current RHS, tags).
 
-        The tuple is cached against the structure and re-stamp revisions:
-        per-solve diagnostics (attribution runs after every feasible
-        solve) reuse it for free across re-solves of one stamp.
+        Cached against the structure and re-stamp revisions: per-solve
+        diagnostics (attribution runs after every feasible solve) reuse
+        it for free across re-solves of one stamp.
         """
-        cache = self._row_meta_cache
+        cache = self._row_table
         if cache is not None and cache[:2] == (self._structure_rev, self._restamp_rev):
             return cache[2]
-        metas = tuple(
-            RowMeta(
-                index=i,
-                name=constraint.name or f"row[{i}]",
-                sense=constraint.sense.value,
-                rhs=constraint.rhs,
-                tags=constraint.tags,
-            )
-            for i, constraint in enumerate(self._constraints)
-        )
-        self._row_meta_cache = (self._structure_rev, self._restamp_rev, metas)
-        return metas
+        table = RowTable(self._segments, self._parameters)
+        self._row_table = (self._structure_rev, self._restamp_rev, table)
+        return table
 
     def _check_owned(self, var: Variable) -> None:
         idx = var.index
-        if idx is None or idx >= len(self._variables) or self._variables[idx] is not var:
+        if idx is None or idx >= self._n or self._handles.get(idx) is not var:
             raise ModelError(
                 f"variable {var.name!r} does not belong to model {self.name!r}"
             )
 
     # -- parameters -------------------------------------------------------------
+    def _check_parameter(self, name: str) -> None:
+        if name not in self._parameters:
+            raise ModelError(
+                f"parameter {name!r} is not declared on model {self.name!r}"
+            )
+
     def declare_parameter(self, name: str, value: float) -> None:
         """Declare a named RHS parameter with its initial value.
 
-        Constraints registered with ``add_constraint(..., parameter=name)``
-        track the parameter; :meth:`set_parameter` later re-stamps them.
-        Re-declaring an existing parameter just updates its value.
+        Rows registered against it later track it; :meth:`set_parameter`
+        re-stamps them.  Re-declaring an existing parameter just updates
+        its value.
         """
         if name in self._parameters:
             self.set_parameter(name, value)
@@ -406,34 +644,28 @@ class Model:
 
     def parameter(self, name: str) -> float:
         """Current value of a declared parameter."""
-        try:
-            return self._parameters[name]
-        except KeyError:
-            raise ModelError(
-                f"parameter {name!r} is not declared on model {self.name!r}"
-            ) from None
+        self._check_parameter(name)
+        return self._parameters[name]
 
     @property
     def parameters(self) -> dict[str, float]:
         return dict(self._parameters)
 
     def set_parameter(self, name: str, value: float) -> None:
-        """Re-stamp every constraint bound to parameter ``name``.
+        """Re-stamp every row bound to parameter ``name``.
 
-        O(bound rows): only the stored constraints' constant terms move
-        (so :mod:`repro.verify` re-checks rows against the live RHS); the
-        compiled lowering and every expression object are untouched.
+        O(bound rows): block rows read the value when stamped; the bound
+        ``Constraint`` objects get their constant term re-stamped (so
+        :mod:`repro.verify` re-checks rows against the live RHS).  The
+        compiled lowering is untouched.
         """
-        if name not in self._parameters:
-            raise ModelError(
-                f"parameter {name!r} is not declared on model {self.name!r}"
-            )
+        self._check_parameter(name)
         value = float(value)
         if value != self._parameters[name]:
-            for index, coeff, base in self._param_rows[name]:
+            for constraint, _row, coeff, base in self._param_rows[name]:
                 # rhs = -lhs.constant; stamp the absolute RHS so repeated
                 # restamps never accumulate rounding.
-                self._constraints[index].lhs.constant = -(base + coeff * value)
+                constraint.lhs.constant = -(base + coeff * value)
             self._parameters[name] = value
             self._restamp_rev += 1
         counter("milp.rhs_restamps").inc()
@@ -463,161 +695,184 @@ class Model:
         """Whether a non-constant objective was set (else: feasibility model)."""
         return not self._objective.is_constant()
 
-    # -- transformations ----------------------------------------------------------
-    def fix_variable(self, var: Variable, value: float) -> None:
-        """Pin ``var`` to ``value`` by collapsing its bounds.
+    # -- bounds -------------------------------------------------------------------
+    def fix_columns(self, columns: np.ndarray, values: np.ndarray) -> None:
+        """Pin ``columns`` to ``values`` by collapsing their bounds.
 
-        Used for the paper's pre-mapping step (LP values > 0.95 become 1)
-        and for freezing critical-path operations.
+        Used for the paper's pre-mapping step (LP values > 0.95 become 1,
+        the rest of their group 0); :meth:`unfix_all` reopens them.
         """
-        self._check_owned(var)
-        if value < var.lb - 1e-9 or value > var.ub + 1e-9:
+        columns = np.asarray(columns, dtype=np.int64)
+        values = np.asarray(values, dtype=float)
+        if not columns.size:
+            return
+        if columns.min() < 0 or columns.max() >= self._n:
+            raise ModelError(f"cannot fix a column outside model {self.name!r}")
+        lower, upper = self._lower[columns], self._upper[columns]
+        outside = (values < lower - 1e-9) | (values > upper + 1e-9)
+        fractional = (self._kind[columns] != 0) & (
+            np.abs(values - np.round(values)) > 1e-9
+        )
+        if outside.any():
+            at = int(np.flatnonzero(outside)[0])
             raise ModelError(
-                f"cannot fix {var.name!r} to {value}: outside bounds "
-                f"[{var.lb}, {var.ub}]"
+                f"cannot fix {self.column_name(int(columns[at]))!r} to "
+                f"{values[at]}: outside bounds [{lower[at]}, {upper[at]}]"
             )
-        if var.vtype is not VarType.CONTINUOUS and abs(value - round(value)) > 1e-9:
-            raise ModelError(f"cannot fix discrete {var.name!r} to fractional {value}")
-        if var not in self._fixed_bounds:
-            self._fixed_bounds[var] = (var.lb, var.ub)
-        var.lb = var.ub = float(value)
+        if fractional.any():
+            at = int(np.flatnonzero(fractional)[0])
+            raise ModelError(
+                f"cannot fix discrete {self.column_name(int(columns[at]))!r} "
+                f"to fractional {values[at]}"
+            )
+        self._lower[columns] = self._upper[columns] = values
+        self._fixed[columns] = True
+
+    def fix_variable(self, var: Variable, value: float) -> None:
+        """Pin one variable to ``value`` (see :meth:`fix_columns`)."""
+        self._check_owned(var)
+        self.fix_columns(np.array([var.index]), np.array([float(value)]))
 
     def unfix_all(self) -> None:
-        """Restore the original bounds of every fixed variable.
+        """Restore the original bounds of every fixed column.
 
         Lets one compiled model be reused across Algorithm 1 iterations:
         the two-step method's pre-mapping fixes collapse bounds, and this
-        reopens them before the next ``ST_target`` re-stamp.  Bounds are
-        read fresh at every :meth:`to_matrix_form`, so no recompilation.
+        reopens them before the next ``ST_target`` re-stamp.
         """
-        for var, (lb, ub) in self._fixed_bounds.items():
-            var.lb, var.ub = lb, ub
-        self._fixed_bounds.clear()
+        n = self._n
+        self._lower[:n] = self._lower0[:n]
+        self._upper[:n] = self._upper0[:n]
+        self._fixed[:n] = False
 
     @property
     def fixed_variables(self) -> dict[Variable, float]:
-        return {var: var.lb for var in self._fixed_bounds}
-
-    def relaxed(self) -> "Model":
-        """Return the LP relaxation sharing this model's Variable objects.
-
-        Discrete domains become continuous with identical bounds.  Because
-        Variable objects are shared, solutions of the relaxation index
-        directly into the original variables; the relaxation records the
-        original types so :meth:`restore_types` can undo it.
-        """
-        relaxation = Model(f"{self.name}.lp_relaxation")
-        relaxation._variables = self._variables
-        relaxation._constraints = self._constraints
-        relaxation._objective = self._objective
-        relaxation._minimize = self._minimize
-        relaxation._fixed_bounds = dict(self._fixed_bounds)
-        # Share the parameter store and compiled lowering: the relaxation
-        # differs only in variable *types*, which the compiled path reads
-        # fresh on every matrix_form() call.
-        relaxation._parameters = self._parameters
-        relaxation._param_rows = self._param_rows
-        relaxation._structure_rev = self._structure_rev
-        relaxation._compile_cache = self._compile_cache
-        relaxation._saved_types = {  # type: ignore[attr-defined]
-            v: v.vtype for v in self._variables if v.vtype is not VarType.CONTINUOUS
+        return {
+            self.column(int(j)): float(self._lower[j])
+            for j in np.flatnonzero(self._fixed[: self._n])
         }
-        for var in relaxation._saved_types:  # type: ignore[attr-defined]
-            var.vtype = VarType.CONTINUOUS
-        return relaxation
-
-    def restore_types(self) -> None:
-        """Undo a :meth:`relaxed` transformation (no-op on a base model)."""
-        saved = getattr(self, "_saved_types", None)
-        if saved:
-            for var, vtype in saved.items():
-                var.vtype = vtype
-            saved.clear()
 
     # -- compilation ------------------------------------------------------------
     def compile(self) -> CompiledModel:
         """Structural lowering, cached on the model's structure revision.
 
-        The cache is shared with LP relaxations (:meth:`relaxed`), so the
-        two-step method's LP and residual-ILP solves lower the expression
-        tree exactly once.  Adding variables/constraints or changing the
-        objective invalidates it; bound changes and parameter re-stamps
-        do not.
+        The two-step method's LP and residual-ILP solves share it, so
+        each structure is lowered exactly once.  Adding columns or rows
+        or changing the objective invalidates it; bound changes and
+        parameter re-stamps do not.
         """
-        cache = self._compile_cache
-        if (
-            cache.compiled is None
-            or cache.compiled.structure_rev != self._structure_rev
-        ):
-            cache.compiled = self._lower()
+        compiled = self._compiled
+        if compiled is None or compiled.structure_rev != self._structure_rev:
+            compiled = self._compiled = self._lower_rows()
             counter("milp.lowerings").inc()
         else:
             counter("milp.lowering_cache_hits").inc()
-        return cache.compiled
+        return compiled
 
-    def _lower(self) -> CompiledModel:
-        """Vectorized one-pass lowering of the expression tree."""
-        constraints = self._constraints
-        m = len(constraints)
-        n = len(self._variables)
-        term_maps = [c.lhs.terms for c in constraints]
+    def _lower_rows(self) -> CompiledModel:
+        """One pass over the row segments into a CSR."""
+        m, n = self._num_rows, self._n
+        counts, cols, data, rhs, senses = [], [], [], [], []
+        param_rows: dict[str, tuple[list, list]] = {}
+        row = 0
+        for segment in self._segments:
+            if isinstance(segment, RowBlock):
+                size = segment.size
+                counts.append(np.bincount(segment.row, minlength=size))
+                cols.append(segment.col)
+                data.append(segment.coef)
+                rhs.append(segment.rhs)
+                senses.append(np.full(size, segment.sense.value))
+                if segment.parameter is not None:
+                    rows_list, coeffs = param_rows.setdefault(
+                        segment.parameter, ([], [])
+                    )
+                    rows_list.append(np.arange(row, row + size))
+                    coeffs.append(np.ones(size))
+            else:
+                size = len(segment)
+                term_maps = [c.lhs.terms for c in segment]
+                counts.append(np.fromiter(
+                    (len(t) for t in term_maps), np.int64, count=size
+                ))
+                cols.append(np.fromiter(
+                    (var.index for t in term_maps for var in t), np.int64
+                ))
+                data.append(np.fromiter(
+                    (coeff for t in term_maps for coeff in t.values()), float
+                ))
+                rhs.append(np.fromiter((c.rhs for c in segment), float, count=size))
+                senses.append(np.array([c.sense.value for c in segment]))
+            row += size
         indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter((len(t) for t in term_maps), np.int64, count=m),
-            out=indptr[1:],
+        if m:
+            np.cumsum(np.concatenate(counts), out=indptr[1:])
+        a_matrix = sparse.csr_matrix(
+            (
+                np.concatenate(data) if data else np.zeros(0),
+                np.concatenate(cols) if cols else np.zeros(0, np.int64),
+                indptr,
+            ),
+            shape=(m, n),
         )
-        nnz = int(indptr[-1]) if m else 0
-        cols = np.empty(nnz, dtype=np.int64)
-        data = np.empty(nnz, dtype=np.float64)
-        pos = 0
-        for terms in term_maps:
-            k = len(terms)
-            cols[pos:pos + k] = [var.index for var in terms]
-            data[pos:pos + k] = list(terms.values())
-            pos += k
-        a_matrix = sparse.csr_matrix((data, cols, indptr), shape=(m, n))
         a_matrix.eliminate_zeros()  # terms like (x - x) may carry 0.0 coeffs
         a_matrix.sort_indices()
-        rhs = np.fromiter((c.rhs for c in constraints), float, count=m)
-        # Parameterized rows carry the registration-time absolute base, so
-        # the compiled stamp ``base + coeff*value`` is bit-identical to
-        # :meth:`set_parameter`'s live-constraint stamp.
-        param_rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        rhs_base = np.concatenate(rhs) if rhs else np.zeros(0)
+        # ``Constraint`` rows bound to a parameter carry their
+        # registration-time absolute base, so the stamp ``base +
+        # coeff*value`` is bit-identical to set_parameter's live stamp.
         for name, bound in self._param_rows.items():
             if not bound:
                 continue
-            rows_arr = np.fromiter((r for r, _, _ in bound), np.int64, count=len(bound))
-            coeffs_arr = np.fromiter((c for _, c, _ in bound), float, count=len(bound))
-            rhs[rows_arr] = np.fromiter((b for _, _, b in bound), float, count=len(bound))
-            param_rows[name] = (rows_arr, coeffs_arr)
+            rows_list, coeffs = param_rows.setdefault(name, ([], []))
+            at = np.fromiter((r for _, r, _, _ in bound), np.int64, count=len(bound))
+            rhs_base[at] = np.fromiter((b for *_, b in bound), float, count=len(bound))
+            rows_list.append(at)
+            coeffs.append(np.fromiter((c for _, _, c, _ in bound), float, count=len(bound)))
         objective = np.zeros(n, dtype=float)
         for var, coeff in self._objective.terms.items():
             objective[var.index] = coeff  # type: ignore[index]
         if not self._minimize:
             objective = -objective
         return CompiledModel(
-            variables=self._variables,
             a_matrix=a_matrix,
-            senses=[c.sense for c in constraints],
-            rhs_base=rhs,
-            param_rows=param_rows,
+            senses=np.concatenate(senses) if senses else np.zeros(0, str),
+            rhs_base=rhs_base,
+            param_rows={
+                name: (np.concatenate(r), np.concatenate(c))
+                for name, (r, c) in param_rows.items()
+            },
             objective=objective,
+            integrality=(self.kinds != 0).astype(np.uint8),
             parameters=self._parameters,
             structure_rev=self._structure_rev,
         )
 
-    def to_matrix_form(self) -> MatrixForm:
-        """Compile to the sparse standard form consumed by backends.
+    def to_matrix_form(self, relax: bool = False) -> MatrixForm:
+        """The sparse standard form at current bounds and parameters.
 
-        Delegates to the cached :meth:`compile` lowering; only the
-        per-call pieces (bounds, integrality, parameterized RHS entries)
-        are re-assembled, each in O(rows + cols).
+        ``relax=True`` gives the LP relaxation: the same rows and bounds
+        with integrality switched off.
         """
-        return self.compile().matrix_form()
+        compiled = self.compile()
+        return MatrixForm(
+            a_matrix=compiled.a_matrix,
+            senses=compiled.senses,
+            rhs=compiled.stamp_rhs(),
+            lower=self.lower.copy(),
+            upper=self.upper.copy(),
+            integrality=(
+                np.zeros_like(compiled.integrality) if relax
+                else compiled.integrality.copy()
+            ),
+            objective=compiled.objective,
+            compiled=compiled,
+        )
 
     # -- solving ------------------------------------------------------------------
-    def solve(self, backend=None) -> Solution:
-        """Solve with ``backend`` (default: the scipy/HiGHS backend).
+    def solve(self, backend=None, relax: bool = False) -> Solution:
+        """Solve with ``backend`` (default: the HiGHS backend);
+        ``relax=True`` solves the LP relaxation.
 
         Limits (time, nodes) are the backend's, set in its constructor.
         """
@@ -625,7 +880,7 @@ class Model:
             from repro.milp.scipy_backend import ScipyBackend
 
             backend = ScipyBackend()
-        solution = backend.solve(self)
+        solution = backend.solve(self, relax=relax)
         if solution.status.has_solution and not self._minimize and self.has_objective():
             solution.objective = -solution.objective
         return solution

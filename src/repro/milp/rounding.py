@@ -8,20 +8,23 @@ randomized rounding, but they did not work as well" — both strategies are
 implemented here so the comparison is reproducible
 (``benchmarks/bench_ablation_rounding.py``).
 
-Strategies operate on *assignment groups*: for each operation, the list of
-binary variables (one per candidate PE) that must sum to one.  Fixing any
-member to 1 implies the rest of the group is 0, which the strategies also
-apply so the follow-up ILP shrinks as much as possible.
+Strategies operate on *assignment groups*: for each operation, the binary
+columns (one per candidate PE) that must sum to one, given as contiguous
+column ranges by an offsets array — group ``g`` owns columns
+``groups[g]:groups[g + 1]``.  Fixing any member to 1 implies the rest of
+the group is 0, which the strategies also apply so the follow-up ILP
+shrinks as much as possible.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from repro.errors import ModelError
-from repro.milp.expr import Variable
 from repro.milp.model import Model
 from repro.milp.status import Solution
 from repro.obs import counter, get_logger, span
@@ -64,34 +67,28 @@ class RoundingReport:
 
 def threshold_fix(
     model: Model,
-    groups: Sequence[Sequence[Variable]],
+    groups: np.ndarray,
     lp_solution: Solution,
     threshold: float = DEFAULT_FIX_THRESHOLD,
 ) -> RoundingReport:
     """Fix to 1 every group member whose LP value exceeds ``threshold``.
 
     This is the paper's strategy.  At most one member per group can exceed
-    a threshold above 0.5 (the group sums to 1), so no conflicts can arise.
-    Remaining members of a fixed group are pinned to 0.
+    a threshold above 0.5 (the group sums to 1); should rounding noise let
+    two, the first wins.  Remaining members of a fixed group are pinned
+    to 0.
     """
     if not 0.5 < threshold <= 1.0:
         raise ModelError(f"threshold must lie in (0.5, 1.0], got {threshold}")
-    report = RoundingReport(
-        groups_total=len(groups),
-        variables_total=sum(len(group) for group in groups),
-        strategy="threshold",
-        details={"threshold": threshold},
-    )
+    groups = np.asarray(groups)
+    report = _report(groups, "threshold", {"threshold": threshold})
     with span("rounding", strategy="threshold") as round_span:
-        for group in groups:
-            winner = None
-            for var in group:
-                if lp_solution.value(var, 0.0) > threshold:
-                    winner = var
-                    break
-            if winner is None:
-                continue
-            _fix_group(model, group, winner, report)
+        above = np.flatnonzero(
+            lp_solution.x[groups[0]:groups[-1]] > threshold
+        ) + groups[0]
+        owner = np.searchsorted(groups, above, side="right") - 1
+        fixed, first = np.unique(owner, return_index=True)
+        _fix_groups(model, groups, fixed, above[first], report)
         round_span.set(
             groups_fixed=report.groups_fixed, groups_total=report.groups_total
         )
@@ -101,7 +98,7 @@ def threshold_fix(
 
 def randomized_round(
     model: Model,
-    groups: Sequence[Sequence[Variable]],
+    groups: np.ndarray,
     lp_solution: Solution,
     rng: random.Random,
     min_mass: float = 0.5,
@@ -113,32 +110,45 @@ def randomized_round(
     still *more* aggressive than the paper's strategy — matching the
     comparison the authors describe).
     """
-    report = RoundingReport(
-        groups_total=len(groups),
-        variables_total=sum(len(group) for group in groups),
-        strategy="randomized",
-        details={"min_mass": min_mass},
-    )
+    groups = np.asarray(groups)
+    report = _report(groups, "randomized", {"min_mass": min_mass})
+    values = lp_solution.x.tolist()
+    fixed: list[int] = []
+    winners: list[int] = []
     with span("rounding", strategy="randomized") as round_span:
-        for group in groups:
-            masses = [max(0.0, lp_solution.value(var, 0.0)) for var in group]
+        for g, (start, end) in enumerate(zip(groups[:-1].tolist(), groups[1:].tolist())):
+            masses = [max(0.0, value) for value in values[start:end]]
             total = sum(masses)
             if total <= 0.0 or max(masses) < min_mass:
                 continue
             pick = rng.random() * total
             cumulative = 0.0
-            winner = group[-1]
-            for var, mass in zip(group, masses):
+            winner = end - 1
+            for column, mass in enumerate(masses, start):
                 cumulative += mass
                 if pick <= cumulative:
-                    winner = var
+                    winner = column
                     break
-            _fix_group(model, group, winner, report)
+            fixed.append(g)
+            winners.append(winner)
+        _fix_groups(
+            model, groups, np.array(fixed, dtype=np.int64),
+            np.array(winners, dtype=np.int64), report,
+        )
         round_span.set(
             groups_fixed=report.groups_fixed, groups_total=report.groups_total
         )
     _record_rounding(report)
     return report
+
+
+def _report(groups: np.ndarray, strategy: str, details: dict) -> RoundingReport:
+    return RoundingReport(
+        groups_total=len(groups) - 1,
+        variables_total=int(groups[-1] - groups[0]),
+        strategy=strategy,
+        details=details,
+    )
 
 
 def _record_rounding(report: RoundingReport) -> None:
@@ -155,50 +165,47 @@ def _record_rounding(report: RoundingReport) -> None:
     )
 
 
-def _fix_group(
+def _fix_groups(
     model: Model,
-    group: Sequence[Variable],
-    winner: Variable,
+    groups: np.ndarray,
+    fixed: np.ndarray,
+    winners: np.ndarray,
     report: RoundingReport,
 ) -> None:
-    """Pin ``winner`` to 1 and all other group members to 0."""
-    model.fix_variable(winner, 1.0)
-    report.variables_fixed_one += 1
-    for var in group:
-        if var is winner:
-            continue
-        model.fix_variable(var, 0.0)
-        report.variables_fixed_zero += 1
-    report.groups_fixed += 1
+    """Pin each ``winners`` column to 1 and the rest of its group
+    (``fixed``, same order) to 0."""
+    starts = groups[fixed]
+    sizes = groups[fixed + 1] - starts
+    offsets = np.cumsum(sizes) - sizes
+    columns = np.arange(int(sizes.sum())) - np.repeat(offsets - starts, sizes)
+    model.fix_columns(columns, columns == np.repeat(winners, sizes))
+    report.groups_fixed += len(fixed)
+    report.variables_fixed_one += len(fixed)
+    report.variables_fixed_zero += int(sizes.sum()) - len(fixed)
 
 
 def extract_assignment(
-    groups: Mapping[object, Sequence[tuple[Variable, object]]],
+    groups: np.ndarray,
     solution: Solution,
+    keys: Sequence | None = None,
     tol: float = 1e-4,
-) -> dict:
-    """Decode one-hot assignment groups from a solved model.
+) -> np.ndarray:
+    """The winning column of each one-hot group of a solved model.
 
-    Parameters
-    ----------
-    groups:
-        ``{key: [(variable, payload), ...]}`` — e.g. key = operation,
-        payload = candidate PE.
-    solution:
-        A solution with (near-)integral values for the group variables.
-
-    Returns
-    -------
-    dict
-        ``{key: payload}`` for the member of each group valued at 1.
+    Raises :class:`ModelError` naming the group (``keys[g]`` when given)
+    unless exactly one member is valued at 1 — an argmax that also
+    checks the solution is integral on the group.
     """
-    decoded = {}
-    for key, members in groups.items():
-        chosen = [payload for var, payload in members if solution.value(var, 0.0) > 1 - tol]
-        if len(chosen) != 1:
-            raise ModelError(
-                f"assignment group {key!r} decoded to {len(chosen)} winners "
-                "(expected exactly 1); solution is not integral"
-            )
-        decoded[key] = chosen[0]
-    return decoded
+    groups = np.asarray(groups)
+    hits = solution.x[groups[0]:groups[-1]] > 1 - tol
+    counts = np.add.reduceat(hits, groups[:-1] - groups[0]) if len(groups) > 1 else hits[:0]
+    counts[groups[1:] == groups[:-1]] = 0
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        g = int(bad[0])
+        key = keys[g] if keys is not None else g
+        raise ModelError(
+            f"assignment group {key!r} decoded to {int(counts[g])} winners "
+            "(expected exactly 1); solution is not integral"
+        )
+    return np.flatnonzero(hits) + groups[0]

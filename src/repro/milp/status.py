@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+import numpy as np
 
 from repro.errors import InfeasibleError, ModelError, SolverError
 from repro.milp.expr import Variable
@@ -34,6 +34,47 @@ class SolveStatus(enum.Enum):
         return self in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)
 
 
+#: HiGHS model statuses, by name, as scipy's HiGHS front ends report
+#: them: a code (0 optimal, 1 limit, 2 infeasible, 3 unbounded, 4 other)
+#: and a message prefix.  A model HiGHS rejects on load counts as
+#: infeasible, as it does there.
+HIGHS_STATUS = {
+    "kNotset": (4, ""),
+    "kLoadError": (4, ""),
+    "kModelError": (2, ""),
+    "kPresolveError": (4, ""),
+    "kSolveError": (4, ""),
+    "kPostsolveError": (4, ""),
+    "kModelEmpty": (4, ""),
+    "kObjectiveBound": (4, ""),
+    "kObjectiveTarget": (4, ""),
+    "kOptimal": (0, "Optimization terminated successfully. "),
+    "kTimeLimit": (1, "Time limit reached. "),
+    "kIterationLimit": (1, "Iteration limit reached. "),
+    "kInfeasible": (2, "The problem is infeasible. "),
+    "kUnbounded": (3, "The problem is unbounded. "),
+    "kUnboundedOrInfeasible": (4, "The problem is unbounded or infeasible. "),
+}
+
+#: Those codes as a :class:`SolveStatus`; code 1 is a limit hit, which
+#: the backend turns into an error when it left no incumbent.
+STATUS_OF_CODE = {
+    0: SolveStatus.OPTIMAL,
+    1: SolveStatus.FEASIBLE,
+    2: SolveStatus.INFEASIBLE,
+    3: SolveStatus.UNBOUNDED,
+    4: SolveStatus.ERROR,
+}
+
+
+def highs_status(model_status, detail: str) -> tuple[int, str]:
+    """``(code, message)`` of a HiGHS model status and its detail text."""
+    code, prefix = HIGHS_STATUS.get(
+        model_status.name, (4, "The HiGHS status code was not recognized. ")
+    )
+    return code, f"{prefix}(HiGHS Status {int(model_status)}: {detail})"
+
+
 @dataclass
 class Solution:
     """Result of solving a model.
@@ -45,8 +86,8 @@ class Solution:
     objective:
         Objective value at the returned point (0.0 for feasibility models,
         ``nan`` when no solution exists).
-    values:
-        Mapping from :class:`Variable` to its value.  Empty when
+    x:
+        Column values, indexed by :attr:`Variable.index`.  ``None`` when
         ``status.has_solution`` is false.
     solve_seconds:
         Wall-clock time spent inside the backend.
@@ -63,7 +104,7 @@ class Solution:
 
     status: SolveStatus
     objective: float = float("nan")
-    values: Mapping[Variable, float] = field(default_factory=dict)
+    x: np.ndarray | None = None
     solve_seconds: float = 0.0
     message: str = ""
     stats: SolveStats | None = None
@@ -71,15 +112,13 @@ class Solution:
     def __getitem__(self, var: Variable) -> float:
         if not self.status.has_solution:
             raise ModelError(f"no solution available (status={self.status.value})")
-        try:
-            return self.values[var]
-        except KeyError as exc:
-            raise ModelError(f"variable {var.name!r} not in solution") from exc
+        return self.value(var)
 
     def value(self, var: Variable, default: float | None = None) -> float:
         """Value of ``var``; ``default`` if the variable is not in the solution."""
-        if var in self.values:
-            return self.values[var]
+        index = var.index
+        if self.x is not None and index is not None and index < len(self.x):
+            return float(self.x[index])
         if default is None:
             raise ModelError(f"variable {var.name!r} not in solution")
         return default

@@ -34,6 +34,7 @@ from repro.core.flow import AgingAwareFlow, flow_config
 from repro.errors import FlowError, ReproError, SweepError, WorkerLostError
 from repro.obs import (
     CollectorSink,
+    JsonlSink,
     attached,
     clear_sinks,
     configure_logging,
@@ -513,6 +514,11 @@ def main(argv: list[str] | None = None) -> int:
         "worker is killed and the entry retried (default: no timeout)",
     )
     parser.add_argument(
+        "--trace", metavar="FILE.jsonl", default=None,
+        help="record spans and events as JSONL to this file, worker "
+        "spans included (as `repro flow --trace`)",
+    )
+    parser.add_argument(
         "--log-level", default="warning",
         choices=["debug", "info", "warning", "error", "critical"],
     )
@@ -540,20 +546,29 @@ def main(argv: list[str] | None = None) -> int:
         entry_timeout_s=args.entry_timeout,
     )
     configure_logging(args.log_level)
+    try:
+        sinks = [JsonlSink(args.trace)] if args.trace else []
+    except OSError as exc:
+        print(f"error: cannot open trace file: {exc}", file=sys.stderr)
+        return 1
     # CLI invocation: experiment output belongs on stdout, so the drivers
     # get ``print`` explicitly; library callers default to the repro logger.
     try:
-        if args.experiment == "table1":
-            run_table1(config, log=print)
-        elif args.experiment == "fig5":
-            run_fig5(config, log=print)
-        elif args.experiment == "fig2a":
-            run_fig2a(log=print)
-        else:
-            run_fig2b(bench=args.bench, log=print, csv=args.csv)
+        with attached(*sinks):
+            if args.experiment == "table1":
+                run_table1(config, log=print)
+            elif args.experiment == "fig5":
+                run_fig5(config, log=print)
+            elif args.experiment == "fig2a":
+                run_fig2a(log=print)
+            else:
+                run_fig2b(bench=args.bench, log=print, csv=args.csv)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        for sink in sinks:
+            sink.close()
     return 0
 
 

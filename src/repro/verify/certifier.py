@@ -9,11 +9,12 @@ simple, reuse-free re-check of everything an accepted result claims.
 Two layers, kept independent of the code they audit:
 
 * :func:`certify_solution` re-evaluates every row of the **uncompiled**
-  :class:`~repro.milp.model.Model` (the live ``Constraint`` objects, not
-  the cached :class:`~repro.milp.model.CompiledModel` lowering) against a
-  backend :class:`~repro.milp.status.Solution` as a row-by-row ordered
-  sum, with explicit absolute and relative tolerances, plus variable
-  bounds and integrality.
+  :class:`~repro.milp.model.Model` (each block's own triplets and the
+  live ``Constraint`` objects, not the cached
+  :class:`~repro.milp.model.CompiledModel` lowering) against a backend
+  :class:`~repro.milp.status.Solution` as a row-by-row ordered sum, with
+  explicit absolute and relative tolerances, plus column bounds and
+  integrality.
 * :func:`certify_floorplan` re-derives the paper's domain invariants from
   first principles: per-PE stress re-accumulated with a plain dict loop
   (not :func:`repro.aging.stress.compute_stress_map`), exactly-one-PE
@@ -32,8 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from repro.errors import CertificationError
-from repro.milp.expr import VarType
+from repro.milp.model import RowBlock
 from repro.obs import counter, event, get_logger
 
 _log = get_logger("verify.certifier")
@@ -140,17 +143,38 @@ def _row_tolerance(activity: float, rhs: float, abs_tol: float, rel_tol: float) 
     return abs_tol + rel_tol * scale
 
 
-def _ordered_dot(terms: Mapping, resolved: Mapping) -> float:
-    """Row activity as a sequential term-order sum.
+def _ordered_sums(rows, cols, coefs, x, size: int) -> list[float]:
+    """Per-row activities as sequential term-order sums over
+    ``(row, col, coef)`` triplets.
 
-    Deliberately *not* ``np.dot``: BLAS may reassociate the
-    accumulation, so a knife-edge row's verdict could depend on the
-    BLAS build.  Variables absent from ``resolved`` read as 0.
+    Deliberately *not* ``np.dot`` or a sparse mat-vec: BLAS may
+    reassociate the accumulation, so a knife-edge row's verdict could
+    depend on the BLAS build.
     """
-    total = 0.0
-    for var, coeff in terms.items():
-        total += float(coeff) * resolved.get(var, 0.0)
-    return total
+    totals = [0.0] * size
+    for row, col, coef in zip(rows, cols, coefs):
+        totals[row] += float(coef) * x[col]
+    return totals
+
+
+def _activities(model, x: list[float]) -> list[float]:
+    """Every row's activity at ``x``, block rows from the block's own
+    triplets and ``Constraint`` rows from their terms, in row order."""
+    activities: list[float] = []
+    for segment in model.segments():
+        if isinstance(segment, RowBlock):
+            activities += _ordered_sums(
+                segment.row.tolist(), segment.col.tolist(),
+                segment.coef.tolist(), x, segment.size,
+            )
+        else:
+            for constraint in segment:
+                terms = constraint.lhs.terms
+                activities += _ordered_sums(
+                    [0] * len(terms), [var.index for var in terms],
+                    terms.values(), x, 1,
+                )
+    return activities
 
 
 def certify_solution(
@@ -160,77 +184,78 @@ def certify_solution(
     rel_tol: float = REL_TOL,
     int_tol: float = INT_TOL,
 ) -> Certificate:
-    """Re-check a backend solution against the *uncompiled* model.
+    """Re-check a backend solution against the model's own rows.
 
-    Walks the live :class:`~repro.milp.constraint.Constraint` objects and
-    evaluates each row as an ordered sum over the solution values — a
-    second, independent evaluation that shares nothing with the
-    structure-cached :meth:`~repro.milp.model.Model.compile` path it
-    audits.  Also re-checks per-variable bounds and integrality.
+    Walks the model's row segments — each block's ``(row, column,
+    coefficient)`` triplets and each live
+    :class:`~repro.milp.constraint.Constraint` — and evaluates every row
+    as an ordered sum over the solution values: a second, independent
+    evaluation that shares nothing with the cached
+    :meth:`~repro.milp.model.Model.compile` lowering or the layouts
+    handed to HiGHS.  Also re-checks per-column bounds and integrality.
     """
     cert = Certificate()
-    values = solution.values
-    missing: list[str] = []
-    resolved: dict = {}
-    for var in model.variables:
-        value = values.get(var)
-        if value is None:
-            missing.append(var.name)
-            continue
-        value = float(value)
-        resolved[var] = value
-        if value < var.lb - abs_tol or value > var.ub + abs_tol:
-            cert.violations.append(
-                Violation(
-                    kind=KIND_BOUNDS,
-                    subject=var.name,
-                    detail=(
-                        f"value {value:.9g} outside bounds "
-                        f"[{var.lb:g}, {var.ub:g}]"
-                    ),
-                    magnitude=max(var.lb - value, value - var.ub, 0.0),
-                )
-            )
-        if var.vtype is not VarType.CONTINUOUS:
-            drift = abs(value - round(value))
-            if drift > int_tol:
-                cert.violations.append(
-                    Violation(
-                        kind=KIND_INTEGRALITY,
-                        subject=var.name,
-                        detail=f"value {value:.9g} is {drift:.3g} from integral",
-                        magnitude=drift,
-                    )
-                )
-    for name in missing:
+    n = model.num_variables
+    x = np.zeros(0) if solution.x is None else np.asarray(solution.x, float)
+    for column in range(len(x), n):
         cert.violations.append(
             Violation(
                 kind=KIND_MISSING_VALUE,
-                subject=name,
+                subject=model.column_name(column),
                 detail="variable has no value in the solution",
             )
         )
-    cert.checks.append(f"bounds+integrality over {len(model.variables)} variables")
+    x = x[:n]
+    lower, upper = model.lower[: len(x)], model.upper[: len(x)]
+    drift = np.abs(x - np.round(x))
+    outside = (x < lower - abs_tol) | (x > upper + abs_tol)
+    fractional = (model.kinds[: len(x)] != 0) & (drift > int_tol)
+    for column in np.flatnonzero(outside | fractional).tolist():
+        value, lb, ub = float(x[column]), float(lower[column]), float(upper[column])
+        name = model.column_name(column)
+        if outside[column]:
+            cert.violations.append(
+                Violation(
+                    kind=KIND_BOUNDS,
+                    subject=name,
+                    detail=f"value {value:.9g} outside bounds [{lb:g}, {ub:g}]",
+                    magnitude=max(lb - value, value - ub, 0.0),
+                )
+            )
+        if fractional[column]:
+            cert.violations.append(
+                Violation(
+                    kind=KIND_INTEGRALITY,
+                    subject=name,
+                    detail=(
+                        f"value {value:.9g} is {drift[column]:.3g} from integral"
+                    ),
+                    magnitude=float(drift[column]),
+                )
+            )
+    cert.checks.append(f"bounds+integrality over {n} variables")
 
+    # Columns without a value read as 0 in the row audit.
+    values = np.concatenate((x, np.zeros(n - len(x)))).tolist()
     rows = model.row_metadata()
-    for meta, constraint in zip(rows, model.constraints):
-        activity = _ordered_dot(constraint.lhs.terms, resolved)
-        rhs = meta.rhs
+    for index, activity in enumerate(_activities(model, values)):
+        rhs, sense = float(rows.rhs[index]), rows.senses[index]
         tol = _row_tolerance(activity, rhs, abs_tol, rel_tol)
-        if meta.sense == "<=":
+        if sense == "<=":
             excess = activity - rhs
-        elif meta.sense == ">=":
+        elif sense == ">=":
             excess = rhs - activity
         else:
             excess = abs(activity - rhs)
         if excess > tol:
+            meta = rows[index]
             cert.violations.append(
                 Violation(
                     kind=KIND_ROW,
                     subject=meta.name,
                     detail=(
-                        f"row {meta.index}: activity {activity:.9g} "
-                        f"{meta.sense} {rhs:.9g} violated by {excess:.3g}"
+                        f"row {index}: activity {activity:.9g} "
+                        f"{sense} {rhs:.9g} violated by {excess:.3g}"
                     ),
                     magnitude=excess,
                     tags=dict(meta.tags),

@@ -45,7 +45,7 @@ class TestAssignment:
         )
         assert model.num_binary == 4
         assert model.num_constraints == 2
-        assert len(variables.groups()) == 2
+        assert len(variables.groups) == 3  # offsets of two groups
 
     def test_empty_candidates_rejected(self, fabric):
         design = simple_design(1)
@@ -151,7 +151,7 @@ class TestPathConstraints:
         # PE3 is distance 2 -> must be excluded by the constraint.
         solution = model.solve(ScipyBackend())
         assert solution.status.has_solution
-        chosen = [pe for var, pe in variables.assign[1] if solution.value(var) > 0.5]
+        chosen = [pe for j, pe in variables.candidates_of(1) if solution.x[j] > 0.5]
         assert chosen == [1]
         assert added == 1
         assert violations == 0
@@ -202,7 +202,7 @@ class TestWirelengthObjective:
         add_exclusivity_constraints(variables, design, fabric.num_pes)
         add_wirelength_objective(variables, design, fabric, {})
         solution = model.solve(ScipyBackend())
-        chosen = [pe for var, pe in variables.assign[1] if solution.value(var) > 0.5]
+        chosen = [pe for j, pe in variables.candidates_of(1) if solution.x[j] > 0.5]
         assert chosen == [1]  # adjacent beats diagonal
         assert solution.objective == pytest.approx(1.0)
 

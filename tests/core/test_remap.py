@@ -100,7 +100,7 @@ class TestBuildModel:
         )
         ops = remap_inputs["design"].num_ops
         assert stats["binaries"] == ops * 16
-        assert len(variables.assign) == ops
+        assert len(variables.ops) == ops
         assert not model.has_objective()  # the paper's ObjFunc: Null
 
     def test_null_objective_mode(self, remap_inputs):

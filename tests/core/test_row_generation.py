@@ -145,7 +145,7 @@ class _RetryLimitBackend(ScipyBackend):
     fixed) stops at its time limit without an incumbent."""
 
     def solve(self, model, **options):
-        if model.num_binary and not model.fixed_variables:
+        if not options.get("relax") and model.num_binary and not model.fixed_variables:
             return Solution(
                 status=SolveStatus.ERROR,
                 message="limit reached without incumbent",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 
 from repro.explain import (
     IISMember,
@@ -28,7 +27,8 @@ from repro.explain import (
 )
 from repro.explain.iis import _Prober
 from repro.explain.probe import build_infeasible_stress_model
-from repro.milp import Model, ScipyBackend, SolveStatus, linear_sum
+from repro.milp import Model, ScipyBackend, Sense, SolveStatus, linear_sum
+from repro.milp.model import RowBlock, RowTags
 
 
 # -- domain-tag round-trips ----------------------------------------------------
@@ -213,15 +213,16 @@ class TestIIS:
         # An all-frozen remap model lowers to rows over zero columns; the
         # prober must decide them by direct bound checks (scipy rejects an
         # empty cost vector).
-        class FakeForm:
-            a_matrix = csr_matrix((2, 0))
-            senses = ["<=", "<="]
-            rhs = np.array([-1.0, 1.0])
-            lower = np.zeros(0)
-            upper = np.zeros(0)
-            integrality = np.zeros(0)
-
-        prober = _Prober(FakeForm(), time_limit_s=5.0, probe_limit_s=1.0)
+        model = Model("frozen")
+        empty = np.zeros(0, dtype=np.int64)
+        model.add_block(RowBlock(
+            Sense.LE, row=empty, col=empty, coef=np.zeros(0),
+            rhs=np.array([-1.0, 1.0]),
+            tags=RowTags("stress", "stress[pe{pe}]", {"pe": [0, 1]}),
+        ))
+        prober = _Prober(
+            model.to_matrix_form(), time_limit_s=5.0, probe_limit_s=1.0
+        )
         assert prober.infeasible(np.array([0, 1])) is True  # 0 <= -1 violated
         assert prober.infeasible(np.array([1])) is False
         assert prober.infeasible(np.arange(0)) is False

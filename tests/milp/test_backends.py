@@ -66,27 +66,25 @@ class TestScipyBackend:
         """HiGHS IPM can report status 4 ("Solve error") on an infeasible
         zero-objective LP; the fast path must retry with dual simplex and
         report the infeasibility, not a solver failure."""
-        import scipy.optimize
-        from scipy.optimize import OptimizeResult
+        import repro.milp.scipy_backend as backend_mod
 
-        real_linprog = scipy.optimize.linprog
-        methods = []
+        real_run = backend_mod.run_highs
+        solvers = []
 
-        def ipm_fails(*args, method="highs", **kwargs):
-            methods.append(method)
-            if method == "highs-ipm":
-                return OptimizeResult(
-                    x=None, status=4, success=False, message="Solve error"
-                )
-            return real_linprog(*args, method=method, **kwargs)
+        def ipm_fails(*args):
+            options = args[-1]
+            solvers.append(options.get("solver", "choose"))
+            if options.get("solver") == "ipm":
+                return backend_mod.HighsRun(code=4, message="Solve error")
+            return real_run(*args)
 
-        monkeypatch.setattr(scipy.optimize, "linprog", ipm_fails)
+        monkeypatch.setattr(backend_mod, "run_highs", ipm_fails)
         model = Model("null_lp")
         x = model.add_continuous("x", 0, 4)
         y = model.add_continuous("y", 0, 4)
         model.add_constraint(x + y >= 9)
         solution = model.solve(ScipyBackend())
-        assert methods == ["highs-ipm", "highs"]
+        assert solvers == ["ipm", "choose"]
         assert solution.status is SolveStatus.INFEASIBLE
 
     def test_mixed_integer_continuous(self):

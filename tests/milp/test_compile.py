@@ -44,7 +44,7 @@ def assert_forms_identical(a, b):
     np.testing.assert_array_equal(am.data, bm.data)
     np.testing.assert_array_equal(am.indices, bm.indices)
     np.testing.assert_array_equal(am.indptr, bm.indptr)
-    assert a.senses == b.senses
+    np.testing.assert_array_equal(a.senses, b.senses)
     np.testing.assert_array_equal(a.rhs, b.rhs)
     np.testing.assert_array_equal(a.lower, b.lower)
     np.testing.assert_array_equal(a.upper, b.upper)
@@ -79,10 +79,8 @@ class TestCompileCache:
         lowerings = counter("milp.lowerings")
         before = lowerings.value
         model.to_matrix_form()
-        relaxed = model.relaxed()
-        form = relaxed.to_matrix_form()
-        relaxed.restore_types()
-        # The relaxation re-reads integrality but reuses the lowering.
+        form = model.to_matrix_form(relax=True)
+        # The relaxation switches integrality off but reuses the lowering.
         assert lowerings.value == before + 1
         np.testing.assert_array_equal(form.integrality, [0, 0, 0])
 
@@ -115,7 +113,7 @@ class TestRestampVsRebuild:
         base = model.to_matrix_form()
         model.set_parameter("limit", 9.0)
         form = model.to_matrix_form()
-        assert form.senses == [Sense.LE, Sense.GE, Sense.LE]
+        assert list(form.senses) == [Sense.LE.value, Sense.GE.value, Sense.LE.value]
         np.testing.assert_array_equal(form.rhs, [9.0, -18.0, 6.0])
         np.testing.assert_array_equal(base.rhs, [5.0, -10.0, 6.0])
 

@@ -70,7 +70,7 @@ class TestMatrixForm:
         model.add_constraint(x - y >= 1)
         model.add_constraint(linear_sum([x, y]) == 4)
         form = model.to_matrix_form()
-        assert form.senses == [Sense.LE, Sense.GE, Sense.EQ]
+        assert list(form.senses) == [Sense.LE.value, Sense.GE.value, Sense.EQ.value]
         np.testing.assert_allclose(form.rhs, [5, 1, 4])
         assert form.a_matrix.shape == (3, 2)
 
@@ -93,7 +93,7 @@ class TestTransformations:
     def test_fix_variable(self, model):
         x = model.add_binary("x")
         model.fix_variable(x, 1.0)
-        assert (x.lb, x.ub) == (1.0, 1.0)
+        assert (model.lower[x.index], model.upper[x.index]) == (1.0, 1.0)
         assert model.fixed_variables == {x: 1.0}
 
     def test_fix_outside_bounds_rejected(self, model):
@@ -106,18 +106,18 @@ class TestTransformations:
         with pytest.raises(ModelError):
             model.fix_variable(x, 0.5)
 
-    def test_relaxed_and_restore(self, model):
+    def test_relax_switches_integrality_off(self, model):
         b = model.add_binary("b")
-        relaxed = model.relaxed()
-        assert b.vtype is VarType.CONTINUOUS
-        relaxed.restore_types()
+        form = model.to_matrix_form(relax=True)
+        np.testing.assert_array_equal(form.integrality, [0])
         assert b.vtype is VarType.BINARY
+        np.testing.assert_array_equal(model.to_matrix_form().integrality, [1])
 
-    def test_relaxed_shares_variables(self, model):
-        b = model.add_binary("b")
-        relaxed = model.relaxed()
-        assert relaxed.variables[0] is b
-        relaxed.restore_types()
+    def test_column_handles_made_on_demand(self, model):
+        first = model.add_binaries(3, lambda j: f"x[{j}]")
+        handle = model.column(first + 1)
+        assert handle is model.column(first + 1)
+        assert (handle.name, handle.index, handle.vtype) == ("x[1]", 1, VarType.BINARY)
 
 
 class TestSolveIntegration:

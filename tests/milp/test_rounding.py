@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import ModelError
@@ -20,21 +21,17 @@ from repro.milp import (
 
 
 def one_hot_model(num_groups=3, group_size=4):
+    """A model of ``num_groups`` one-hot groups and their column offsets."""
     model = Model("onehot")
-    groups = []
     for g in range(num_groups):
         group = [model.add_binary(f"x{g}_{k}") for k in range(group_size)]
         model.add_constraint(linear_sum(group) == 1)
-        groups.append(group)
-    return model, groups
+    return model, np.arange(0, num_groups * group_size + 1, group_size)
 
 
 def fake_lp_solution(groups, masses):
-    values = {}
-    for group, group_masses in zip(groups, masses):
-        for var, mass in zip(group, group_masses):
-            values[var] = mass
-    return Solution(status=SolveStatus.OPTIMAL, objective=0.0, values=values)
+    x = np.concatenate([np.asarray(m, dtype=float) for m in masses])
+    return Solution(status=SolveStatus.OPTIMAL, objective=0.0, x=x)
 
 
 class TestThresholdFix:
@@ -47,10 +44,10 @@ class TestThresholdFix:
         assert report.groups_fixed == 1
         assert report.variables_fixed_one == 1
         assert report.variables_fixed_zero == 3
-        assert groups[0][0].lb == 1.0
-        assert groups[0][1].ub == 0.0
+        assert model.lower[0] == 1.0
+        assert model.upper[1] == 0.0
         # Undecided group untouched.
-        assert groups[1][0].ub == 1.0
+        assert model.upper[4] == 1.0
 
     def test_paper_default_is_095(self):
         from repro.milp import DEFAULT_FIX_THRESHOLD
@@ -76,9 +73,9 @@ class TestRandomizedRound:
         lp = fake_lp_solution(groups, [[0.7, 0.3, 0.0, 0.0]])
         report = randomized_round(model, groups, lp, random.Random(1))
         assert report.groups_fixed == 1
-        winners = [var for var in groups[0] if var.lb == 1.0]
+        winners = np.flatnonzero(model.lower == 1.0)
         assert len(winners) == 1
-        assert winners[0] in groups[0][:2]
+        assert winners[0] in (0, 1)
 
     def test_skips_flat_groups(self):
         model, groups = one_hot_model(1)
@@ -95,31 +92,21 @@ class TestRandomizedRound:
                 [[0.6, 0.4, 0, 0], [0.9, 0.1, 0, 0], [0.55, 0.45, 0, 0]],
             )
             randomized_round(model, groups, lp, random.Random(42))
-            results.append(
-                tuple(var.lb for group in groups for var in group)
-            )
+            results.append(tuple(model.lower))
         assert results[0] == results[1]
 
 
 class TestExtractAssignment:
     def test_decodes_one_hot(self):
         model, groups = one_hot_model(2)
-        model_groups = {
-            f"op{i}": [(var, f"pe{k}") for k, var in enumerate(group)]
-            for i, group in enumerate(groups)
-        }
         solution = fake_lp_solution(groups, [[0, 1, 0, 0], [0, 0, 0, 1]])
-        decoded = extract_assignment(model_groups, solution)
-        assert decoded == {"op0": "pe1", "op1": "pe3"}
+        np.testing.assert_array_equal(extract_assignment(groups, solution), [1, 7])
 
     def test_non_integral_rejected(self):
         model, groups = one_hot_model(1)
-        model_groups = {
-            "op0": [(var, k) for k, var in enumerate(groups[0])]
-        }
         solution = fake_lp_solution(groups, [[0.5, 0.5, 0, 0]])
-        with pytest.raises(ModelError):
-            extract_assignment(model_groups, solution)
+        with pytest.raises(ModelError, match="'op0' decoded to 0 winners"):
+            extract_assignment(groups, solution, keys=["op0"])
 
 
 class TestEndToEndTwoStep:
@@ -129,17 +116,12 @@ class TestEndToEndTwoStep:
         # Stress-style budget: at most one winner per 'pe' column.
         for k in range(3):
             model.add_constraint(
-                linear_sum(group[k] for group in groups) <= 1
+                linear_sum(model.column(g * 3 + k) for g in range(3)) <= 1
             )
-        relaxed = model.relaxed()
-        lp = relaxed.solve(ScipyBackend())
-        relaxed.restore_types()
+        lp = model.solve(ScipyBackend(), relax=True)
         assert lp.status.has_solution
         threshold_fix(model, groups, lp)
         final = model.solve(ScipyBackend())
         assert final.status.has_solution
-        decoded = extract_assignment(
-            {i: [(v, k) for k, v in enumerate(g)] for i, g in enumerate(groups)},
-            final,
-        )
-        assert sorted(decoded.values()) == [0, 1, 2]
+        winners = extract_assignment(groups, final)
+        assert sorted((winners - groups[:-1]).tolist()) == [0, 1, 2]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ModelError
@@ -23,8 +24,9 @@ class TestSolution:
     @pytest.fixture
     def solved(self):
         x = Variable("x")
+        x.index = 0
         return x, Solution(
-            status=SolveStatus.OPTIMAL, objective=1.0, values={x: 0.9999999}
+            status=SolveStatus.OPTIMAL, objective=1.0, x=np.array([0.9999999])
         )
 
     def test_getitem(self, solved):
@@ -55,8 +57,9 @@ class TestSolution:
 
     def test_rounded_rejects_fractional(self):
         x = Variable("x")
+        x.index = 0
         solution = Solution(
-            status=SolveStatus.OPTIMAL, objective=0.0, values={x: 0.5}
+            status=SolveStatus.OPTIMAL, objective=0.0, x=np.array([0.5])
         )
         with pytest.raises(ModelError):
             solution.rounded(x)

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.arch import Fabric, OpKind, UnitKind
+from repro.core.constraints import (
+    add_assignment_variables,
+    add_exclusivity_constraints,
+    add_stress_constraints,
+)
 from repro.errors import CertificationError
+from repro.hls import MappedDesign, OpInfo
 from repro.milp.model import Model
 from repro.milp.status import Solution, SolveStatus
 from repro.verify import (
@@ -27,9 +35,13 @@ def _toy_model():
 
 
 def _solution(values):
+    """A solution holding ``values``; columns after the last given one
+    have no value."""
+    x = np.zeros(max(var.index for var in values) + 1)
+    for var, value in values.items():
+        x[var.index] = value
     return Solution(
-        status=SolveStatus.OPTIMAL, objective=sum(values.values()),
-        values=values,
+        status=SolveStatus.OPTIMAL, objective=sum(values.values()), x=x,
     )
 
 
@@ -94,6 +106,38 @@ class TestRowCertification:
         assert cert.kinds() == {KIND_ROW}
         assert cert.violations[0].subject == "cap_row"
         assert cert.violations[0].magnitude == pytest.approx(1.0)
+
+    def test_block_rows_named_with_tags(self):
+        # Ops 0 and 1 share context 0; op 2 lives in context 1.  The point
+        # puts op 0 on PEs 0 and 1 (assignment), ops 0 and 1 both on PE 1
+        # (exclusivity) and loads PE 1 past its 2.5 ns budget (stress).
+        design = MappedDesign(name="blocks", num_contexts=2)
+        for op, context in enumerate((0, 0, 1)):
+            design.ops[op] = OpInfo(
+                op, OpKind.ADD, 32, context, UnitKind.ALU, 1.0, 1.0
+            )
+        model = Model("blocks")
+        variables = add_assignment_variables(
+            model, {op: [0, 1] for op in range(3)}, design
+        )
+        add_exclusivity_constraints(variables, design, 4)
+        add_stress_constraints(
+            variables, design, 4, 2.5, {}, fabric=Fabric(2, 2)
+        )
+        x = np.array([1.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+        cert = certify_solution(
+            model, Solution(status=SolveStatus.OPTIMAL, objective=0.0, x=x)
+        )
+        named = {v.subject: dict(v.tags) for v in cert.violations}
+        assert cert.kinds() == {KIND_ROW}
+        assert named == {
+            "assign[0]": {"family": "assignment", "op": 0, "context": 0},
+            "slot[c0,pe1]": {"family": "exclusivity", "context": 0, "pe": 1},
+            "stress[pe1]": {
+                "family": "stress", "pe": 1, "frozen_ns": 0.0,
+                "row": 0, "col": 1,
+            },
+        }
 
     def test_raise_if_failed_carries_violations(self):
         model, x, y = _toy_model()
